@@ -22,12 +22,12 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .fusion import FusionConfig
-from .local_sensing import SensingParams, local_pd, local_pf, threshold_for_pf
-from .mathx import Probability, db_to_linear
+from .fusion import FusionConfig, _fused_qf, _fused_qm
+from .local_sensing import SensingParams, _local_pf, _local_pm, threshold_for_pf
+from .mathx import db_to_linear
 from .montecarlo import SimScenario, run_grid
 from .reporting import ReportChannel, channel_from_snr_db, perfect_channel
-from .roc import InfeasibleTargetError, analytic_roc, optimal_n
+from .roc import InfeasibleTargetError, optimal_n
 
 EXIT_OK = 0
 EXIT_CONFIG = 2
@@ -284,20 +284,16 @@ def _json_value(value):
 
 def _analytic_rows(k: int, ns: list[int], sensing: SensingParams, channel: ReportChannel,
                    lambdas: list[float]) -> list[dict]:
-    pe = channel.pe
+    m, pe = sensing.samples_m, float(channel.pe)
+    pf = _local_pf(m, lambdas)
+    pm = _local_pm(m, sensing.avg_snr_gamma, lambdas)
+    local = [{"lambda": lam, "pf_local": a, "pm_local": b, "pe": pe}
+             for lam, a, b in zip(lambdas, pf.tolist(), pm.tolist())]
     rows = []
     for n in ns:
-        rule = FusionConfig(num_radios_k=k, vote_threshold_n=n)
-        curve = analytic_roc(rule, sensing, channel, lambdas)
-        for lam, qf, qm in curve.points:
-            p = replace(sensing, threshold_lambda=lam)
-            pf = local_pf(p)
-            pm = Probability(1.0 - local_pd(p))
-            rows.append({
-                "n": n, "lambda": lam, "pf_local": float(pf), "pm_local": float(pm),
-                "pe": float(pe), "qf": float(qf), "qm": float(qm),
-                "qf_floor": float(curve.qf_floor), "qm_floor": float(curve.qm_floor),
-            })
+        floors = {"qf_floor": float(_fused_qf(k, n, 0.0, pe)), "qm_floor": float(_fused_qm(k, n, 0.0, pe))}
+        qf, qm = _fused_qf(k, n, pf, pe).tolist(), _fused_qm(k, n, pm, pe).tolist()
+        rows.extend({"n": n, **point, "qf": f, "qm": q, **floors} for point, f, q in zip(local, qf, qm))
     return rows
 
 

@@ -3,9 +3,9 @@
 The fusion center declares the primary user active when at least ``n`` of the
 ``K`` received bits are 1. Received bits are the radios' hard decisions
 passed through the symmetric flip channel, so both fused error probabilities
-are binomial tail sums in the post-flip bit probabilities. Sums are evaluated
-term by term in the log domain and compensated, which keeps full relative
-accuracy even for the tiny asymptotic floors at high reporting SNR.
+are binomial tails in the post-flip bit probabilities, each one regularized
+incomplete beta function. That keeps full relative accuracy even for the tiny
+asymptotic floors at high reporting SNR.
 """
 from __future__ import annotations
 
@@ -13,8 +13,9 @@ import math
 from dataclasses import dataclass
 from typing import Optional
 
-from .mathx import Probability, as_probability, log_binomial
-from .reporting import flip_composition
+from scipy import special as _sp
+
+from .mathx import Probability, as_probability
 
 __all__ = [
     "FusionConfig",
@@ -81,24 +82,20 @@ class PerfPoint:
             raise ValueError(f"kind must be 'analytical' or 'empirical', got {self.kind!r}")
 
 
-def _binomial_sum(k: int, j_lo: int, j_hi: int, p_one: float, p_zero: float) -> Probability:
-    """Sum of C(k, j) * p_one^j * p_zero^(k-j) over j in [j_lo, j_hi].
+def _fused_qf(k: int, n, pf, pe):
+    """Array kernel of :func:`fused_qf`: Pr{Bin(K, one) >= n} = I_one(n, K-n+1) (DLMF 8.17.5)."""
+    one = pf * (1.0 - pe) + (1.0 - pf) * pe
+    return _sp.betainc(n, k - n + 1, one)
 
-    ``p_one`` and ``p_zero`` are passed separately (both computed directly,
-    never as 1 - x) so tiny tails keep their relative accuracy. Terms are
-    assembled in the log domain and added with compensated summation.
+
+def _fused_qm(k: int, n, pm, pe):
+    """Array kernel of :func:`fused_qm`: Pr{>= K-n+1 zeros} = I_zero(K-n+1, n).
+
+    The post-flip zero probability is formed directly, never as 1 - one, so
+    tiny miss tails keep their relative accuracy.
     """
-    terms = []
-    for j in range(j_lo, j_hi + 1):
-        if (p_one == 0.0 and j > 0) or (p_zero == 0.0 and j < k):
-            continue
-        t = log_binomial(k, j)
-        if j > 0:
-            t += j * math.log(p_one)
-        if j < k:
-            t += (k - j) * math.log(p_zero)
-        terms.append(math.exp(t))
-    return as_probability(math.fsum(terms))
+    zero = pm * (1.0 - pe) + (1.0 - pm) * pe
+    return _sp.betainc(k - n + 1, n, zero)
 
 
 def fused_qf(cfg: FusionConfig, pf, pe) -> Probability:
@@ -106,12 +103,8 @@ def fused_qf(cfg: FusionConfig, pf, pe) -> Probability:
 
     Each received bit is 1 with probability pf*(1-pe) + (1-pf)*pe.
     """
-    pf = Probability(pf)
-    pe = Probability(pe)
-    one = flip_composition(pf, pe)
-    zero = flip_composition(Probability(1.0 - pf), pe)
-    k, n = cfg.num_radios_k, cfg.vote_threshold_n
-    return _binomial_sum(k, n, k, one, zero)
+    pf, pe = float(Probability(pf)), float(Probability(pe))
+    return as_probability(_fused_qf(cfg.num_radios_k, cfg.vote_threshold_n, pf, pe))
 
 
 def fused_qm(cfg: FusionConfig, pm, pe) -> Probability:
@@ -119,12 +112,8 @@ def fused_qm(cfg: FusionConfig, pm, pe) -> Probability:
 
     Each received bit is 1 with probability (1-pm)*(1-pe) + pm*pe.
     """
-    pm = Probability(pm)
-    pe = Probability(pe)
-    one = flip_composition(Probability(1.0 - pm), pe)
-    zero = flip_composition(pm, pe)
-    k, n = cfg.num_radios_k, cfg.vote_threshold_n
-    return _binomial_sum(k, 0, n - 1, one, zero)
+    pm, pe = float(Probability(pm)), float(Probability(pe))
+    return as_probability(_fused_qm(cfg.num_radios_k, cfg.vote_threshold_n, pm, pe))
 
 
 def asymptotic_qf(cfg: FusionConfig, pe) -> Probability:
@@ -133,9 +122,7 @@ def asymptotic_qf(cfg: FusionConfig, pe) -> Probability:
     Residual false alarms are caused purely by report bit flips; strictly
     decreasing in n. Equal to fused_qf at pf = 0 by construction.
     """
-    pe = Probability(pe)
-    k, n = cfg.num_radios_k, cfg.vote_threshold_n
-    return _binomial_sum(k, n, k, pe, Probability(1.0 - pe))
+    return as_probability(_fused_qf(cfg.num_radios_k, cfg.vote_threshold_n, 0.0, float(Probability(pe))))
 
 
 def asymptotic_qm(cfg: FusionConfig, pe) -> Probability:
@@ -143,9 +130,7 @@ def asymptotic_qm(cfg: FusionConfig, pe) -> Probability:
 
     Strictly increasing in n. Equal to fused_qm at pm = 0 by construction.
     """
-    pe = Probability(pe)
-    k, n = cfg.num_radios_k, cfg.vote_threshold_n
-    return _binomial_sum(k, 0, n - 1, Probability(1.0 - pe), pe)
+    return as_probability(_fused_qm(cfg.num_radios_k, cfg.vote_threshold_n, 0.0, float(Probability(pe))))
 
 
 def enumerate_rule(cfg: FusionConfig, p_assert, pe) -> Probability:

@@ -12,9 +12,10 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
+import numpy as np
 from scipy import special as _sp
 
-from .mathx import Probability, as_probability, reg_upper_incomplete_gamma
+from .mathx import Probability, as_probability
 
 __all__ = [
     "SensingParams",
@@ -50,9 +51,34 @@ class SensingParams:
             raise ValueError(f"avg_snr_gamma must be finite and > 0, got {g!r}")
 
 
+def _local_pf(samples_m: int, lam):
+    """Array kernel of :func:`local_pf`: chi-square(2M) tail at each threshold."""
+    return _sp.gammaincc(samples_m, np.asarray(lam, dtype=float) / 2.0)
+
+
+def _fade(samples_m: int, gamma: float, lam):
+    """Fading-averaged part of the detection probability, shared by pd and pm (M >= 2)."""
+    growth = ((1.0 + gamma) / gamma) ** (samples_m - 1)
+    scaled = lam * gamma / (2.0 + 2.0 * gamma)
+    return growth * np.exp(-lam / (2.0 + 2.0 * gamma)) * _sp.gammainc(samples_m - 1, scaled)
+
+
+def _local_pm(samples_m: int, gamma: float, lam):
+    """Array kernel of :func:`local_pm`, formed directly rather than as 1 - pd.
+
+    pd = Q(M-1, lam/2) + fade, so pm = P(M-1, lam/2) - fade; for M = 1 it is
+    1 - exp(-lam / (2 + 2*gamma)), evaluated with expm1.
+    """
+    lam = np.asarray(lam, dtype=float)
+    if samples_m == 1:
+        return -np.expm1(-lam / (2.0 + 2.0 * gamma))
+    # the two terms cancel to leading order at small lam; rounding may dip below 0
+    return np.maximum(_sp.gammainc(samples_m - 1, lam / 2.0) - _fade(samples_m, gamma, lam), 0.0)
+
+
 def local_pf(p: SensingParams) -> Probability:
     """False alarm probability: chi-square(2M) tail at the threshold."""
-    return reg_upper_incomplete_gamma(p.samples_m, p.threshold_lambda / 2.0)
+    return Probability(_local_pf(p.samples_m, p.threshold_lambda))
 
 
 def local_pd(p: SensingParams) -> Probability:
@@ -64,18 +90,14 @@ def local_pd(p: SensingParams) -> Probability:
     not cancel catastrophically at low average SNR.
     """
     m, lam, g = p.samples_m, p.threshold_lambda, p.avg_snr_gamma
-    tail_shift = math.exp(-lam / (2.0 + 2.0 * g))
     if m == 1:
-        return as_probability(tail_shift)
-    scaled = lam * g / (2.0 + 2.0 * g)
-    core = float(_sp.gammaincc(m - 1, lam / 2.0))
-    fade = ((1.0 + g) / g) ** (m - 1) * tail_shift * float(_sp.gammainc(m - 1, scaled))
-    return as_probability(core + fade)
+        return as_probability(math.exp(-lam / (2.0 + 2.0 * g)))
+    return as_probability(_sp.gammaincc(m - 1, lam / 2.0) + _fade(m, g, lam))
 
 
 def local_pm(p: SensingParams) -> Probability:
     """Miss detection probability, the complement of :func:`local_pd`."""
-    return Probability(1.0 - local_pd(p))
+    return Probability(_local_pm(p.samples_m, p.avg_snr_gamma, p.threshold_lambda))
 
 
 def threshold_for_pf(target_pf: float, samples_m: int) -> float:

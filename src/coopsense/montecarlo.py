@@ -19,6 +19,7 @@ enter at the comparison stage.
 from __future__ import annotations
 
 import math
+import os
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from typing import Sequence
@@ -193,6 +194,7 @@ def run_grid(scenario: SimScenario, lambdas: Sequence[float], n_values: Sequence
 
     sizes = _chunk_sizes(scenario.trials)
     jobs = [(scenario, lambdas, n_values, ci, sz) for ci, sz in enumerate(sizes)]
+    workers = min(workers, len(jobs), os.cpu_count() or 1)  # extra threads would only idle
     if workers == 1:
         parts = [_chunk_tallies(*job) for job in jobs]
     else:

@@ -1,7 +1,8 @@
 """Analytical ROC curves, vote-rule crossovers, and adaptive rule selection.
 
-With a perfect reporting channel the 1-out-of-K (OR) rule gives the lowest
-fused false alarm at any miss level. Reporting errors put a floor under both
+With a perfect reporting channel and high sensing SNR the 1-out-of-K (OR)
+rule gives the lowest fused false alarm at any miss level; at lower SNR a
+larger rule can win even then. Reporting errors put a floor under both
 fused error probabilities, the floors move in opposite directions with n, and
 consecutive rules' ROC curves cross: above some miss level the larger rule
 wins. The selection rule here locates those crossovers and picks the vote
@@ -16,9 +17,10 @@ from typing import Dict, Optional, Sequence, Tuple
 
 import numpy as np
 from scipy import optimize
+from scipy import special as _sp
 
-from .fusion import FusionConfig, asymptotic_qf, asymptotic_qm, fused_qf, fused_qm
-from .local_sensing import SensingParams, local_pd, local_pf, threshold_for_pf
+from .fusion import FusionConfig, _fused_qf, _fused_qm
+from .local_sensing import SensingParams, _local_pf, _local_pm
 from .mathx import Probability
 from .reporting import ReportChannel
 
@@ -36,9 +38,10 @@ __all__ = [
     "optimal_n",
 ]
 
-# Threshold sweep endpoints cover local false alarm from 1 - 1e-9 down to 1e-9.
-_PF_SWEEP_HI = 1.0 - 1e-9
+# Threshold inversions start at local false alarm 1e-9 and stop within these tolerances.
 _PF_SWEEP_LO = 1e-9
+_LAMBDA_XTOL = 1e-13
+_LAMBDA_RTOL = 8.9e-16
 _CROSSOVER_SCAN_POINTS = 400
 # False-alarm differences below this are ties: the smaller (cheaper) rule wins.
 # Keeps the vanishing-error channel in the OR-rule regime, where the larger
@@ -79,7 +82,7 @@ class RocCurve:
     fusion: FusionConfig
     sensing: SensingParams  # threshold field is the sweep variable, ignored here
     channel: ReportChannel
-    points: Tuple[Tuple[float, Probability, Probability], ...]
+    points: Tuple[Tuple[float, float, float], ...]
     qf_floor: Probability
     qm_floor: Probability
 
@@ -145,12 +148,61 @@ class OptimalRule:
     table: CrossoverTable
 
 
+def _rule_point(k: int, n, samples_m: int, gamma: float, pe: float, lam):
+    """Fused (qf, qm) arrays of rules n at thresholds lam, broadcast together.
+
+    lam = inf is the never-firing detector: qf is then the rule's floor and qm
+    its loose-threshold limit, the supremum of its miss probability.
+    """
+    return (_fused_qf(k, n, _local_pf(samples_m, lam), pe),
+            _fused_qm(k, n, _local_pm(samples_m, gamma, lam), pe))
+
+
+def _lambda_for_qm(k: int, n, samples_m: int, gamma: float, pe: float, target):
+    """Thresholds at which rules n reach miss targets between their floors and loose limits.
+
+    Bisects every element until its own bracket is within the tolerances, so
+    an element's result does not depend on the other elements of the call.
+    """
+    n, target = np.broadcast_arrays(n, np.asarray(target, dtype=float))
+    miss = lambda lam: _fused_qm(k, n, _local_pm(samples_m, gamma, lam), pe)
+    hi = np.full(target.shape, 2.0 * _sp.gammainccinv(samples_m, _PF_SWEEP_LO))
+    # Extend the brackets geometrically; the fused miss saturates exactly once
+    # the local tail probabilities underflow, so this always terminates.
+    for _ in range(200):
+        short = miss(hi) < target
+        if not short.any():
+            break
+        hi = np.where(short, 2.0 * hi, hi)
+    else:
+        raise RuntimeError("the fused miss did not reach its target within 200 threshold doublings")
+    lo = np.zeros_like(hi)
+    while True:
+        unsettled = hi - lo > _LAMBDA_XTOL + _LAMBDA_RTOL * hi
+        if not unsettled.any():
+            return hi
+        mid = np.where(unsettled, 0.5 * (lo + hi), hi)
+        below = miss(mid) < target
+        lo = np.where(unsettled & below, mid, lo)
+        hi = np.where(unsettled & ~below, mid, hi)
+
+
+def _achieved(k: int, ns, samples_m: int, gamma: float, pe: float, target: float):
+    """(lambda, qf, qm) arrays of rules ns at the lowest false alarm whose miss meets the target;
+    lambda is inf where the target is at or above the loose limit (the constraint never binds)."""
+    binds = target < _fused_qm(k, ns, 1.0, pe)
+    lam = np.full(ns.shape, np.inf)
+    lam[binds] = _lambda_for_qm(k, ns[binds], samples_m, gamma, pe, target)
+    return (lam, *_rule_point(k, ns, samples_m, gamma, pe, lam))
+
+
 def operating_point(fusion: FusionConfig, sensing: SensingParams, channel: ReportChannel,
                     threshold: float) -> Tuple[Probability, Probability]:
     """Fused (qf, qm) of one rule at one detection threshold."""
     p = replace(sensing, threshold_lambda=threshold)
-    pe = channel.pe
-    return fused_qf(fusion, local_pf(p), pe), fused_qm(fusion, Probability(1.0 - local_pd(p)), pe)
+    qf, qm = _rule_point(fusion.num_radios_k, fusion.vote_threshold_n, p.samples_m,
+                         p.avg_snr_gamma, float(channel.pe), p.threshold_lambda)
+    return Probability(qf), Probability(qm)
 
 
 def analytic_roc(fusion: FusionConfig, sensing: SensingParams, channel: ReportChannel,
@@ -159,15 +211,15 @@ def analytic_roc(fusion: FusionConfig, sensing: SensingParams, channel: ReportCh
     grid = [float(v) for v in lambda_grid]
     if not grid or any(b <= a for a, b in zip(grid, grid[1:])):
         raise ValueError("lambda_grid must be a non-empty strictly increasing sequence")
-    pe = channel.pe
-    points = tuple((lam, *operating_point(fusion, sensing, channel, lam)) for lam in grid)
+    k, n, pe = fusion.num_radios_k, fusion.vote_threshold_n, float(channel.pe)
+    qf, qm = _rule_point(k, n, sensing.samples_m, sensing.avg_snr_gamma, pe, grid)
     return RocCurve(
         fusion=fusion,
         sensing=sensing,
         channel=channel,
-        points=points,
-        qf_floor=asymptotic_qf(fusion, pe),
-        qm_floor=asymptotic_qm(fusion, pe),
+        points=tuple(zip(grid, qf.tolist(), qm.tolist())),
+        qf_floor=Probability(_fused_qf(k, n, 0.0, pe)),
+        qm_floor=Probability(_fused_qm(k, n, 0.0, pe)),
     )
 
 
@@ -178,46 +230,6 @@ def qf_at_qm(curve: RocCurve, qm: float) -> float:
     if not curve.points or qm < qms[0] or qm > qms[-1]:
         raise ValueError(f"qm={qm!r} is outside the curve's swept range [{qms[0]}, {qms[-1]}]")
     return float(np.interp(qm, qms, qfs))
-
-
-def _qm_of_lambda(fusion, sensing, channel, lam: float) -> float:
-    p = replace(sensing, threshold_lambda=lam)
-    return float(fused_qm(fusion, Probability(1.0 - local_pd(p)), channel.pe))
-
-
-def _qf_of_lambda(fusion, sensing, channel, lam: float) -> float:
-    p = replace(sensing, threshold_lambda=lam)
-    return float(fused_qf(fusion, local_pf(p), channel.pe))
-
-
-def _qm_loose_limit(fusion: FusionConfig, pe: Probability) -> float:
-    # Supremum of the fused miss probability as the threshold grows without
-    # bound: the local detector then never fires and only bit flips remain.
-    return float(fused_qm(fusion, Probability(1.0), pe))
-
-
-def _lambda_for_qm(fusion, sensing, channel, target: float) -> Optional[float]:
-    """Largest threshold whose fused miss probability equals the target.
-
-    Returns None when the target is at or above the loose-threshold limit, in
-    which case every threshold satisfies the miss constraint.
-    """
-    lo = 0.0
-    hi = threshold_for_pf(_PF_SWEEP_LO, sensing.samples_m)
-    f = lambda lam: _qm_of_lambda(fusion, sensing, channel, lam) - target
-    if f(lo) > 0.0:
-        raise ValueError(f"target qm={target!r} is below the rule's floor")
-    if target >= _qm_loose_limit(fusion, channel.pe):
-        return None
-    # Extend the bracket geometrically; the fused miss saturates exactly once
-    # the local tail probabilities underflow, so this always terminates.
-    for _ in range(200):
-        if f(hi) >= 0.0:
-            break
-        hi *= 2.0
-    else:
-        return None
-    return float(optimize.brentq(f, lo, hi, xtol=1e-13, rtol=8.9e-16, maxiter=200))
 
 
 def qm_star(fusion: FusionConfig, sensing: SensingParams, channel: ReportChannel) -> Probability:
@@ -233,37 +245,36 @@ def qm_star(fusion: FusionConfig, sensing: SensingParams, channel: ReportChannel
     k, n = fusion.num_radios_k, fusion.vote_threshold_n
     if n >= k:
         raise ValueError(f"crossover needs vote thresholds n and n+1 within K={k}, got n={n}")
-    rule_a = fusion
-    rule_b = replace(fusion, vote_threshold_n=n + 1)
-    pe = channel.pe
+    m, g, pe = sensing.samples_m, sensing.avg_snr_gamma, float(channel.pe)
 
-    floor_b = float(asymptotic_qm(rule_b, pe))
-    sup = _qm_loose_limit(rule_a, pe)  # rule n saturates first (limit grows with n)
+    floor_b = float(_fused_qm(k, n + 1, 0.0, pe))
+    sup = float(_fused_qm(k, n, 1.0, pe))  # rule n saturates first (limit grows with n)
     if not floor_b < sup:
         raise NoCrossoverError(n, dominant=n)
     lo = floor_b + (sup - floor_b) * 1e-9
     hi = sup - (sup - floor_b) * 1e-9
+    pair = np.array([[n], [n + 1]])
 
-    def delta(q: float) -> float:
-        la = _lambda_for_qm(rule_a, sensing, channel, q)
-        lb = _lambda_for_qm(rule_b, sensing, channel, q)
-        qa = _qf_of_lambda(rule_a, sensing, channel, la) if la is not None else float("nan")
-        qb = _qf_of_lambda(rule_b, sensing, channel, lb) if lb is not None else float("nan")
-        return qb - qa
+    def gaps(qs):
+        # qf of rule n+1 minus qf of rule n at each miss level, both rules inverted at once
+        qf = _fused_qf(k, pair, _local_pf(m, _lambda_for_qm(k, pair, m, g, pe, qs)), pe)
+        return qf[1] - qf[0]
 
-    qs = [float(q) for q in np.geomspace(max(lo, 1e-300), hi, _CROSSOVER_SCAN_POINTS)]
-    deltas = [delta(q) for q in qs]
+    qs = np.geomspace(max(lo, 1e-300), hi, _CROSSOVER_SCAN_POINTS)
+    deltas = gaps(qs)
     # a crossover only counts once the larger rule's advantage clears the tie
     # tolerance; sub-tie dips (vanishing-error channels, underflowed floors)
     # leave the smaller rule dominant
-    first_adv = next((i for i, d in enumerate(deltas) if d < -_QF_TIE_TOL), None)
-    if first_adv is None:
+    advantaged = np.flatnonzero(deltas < -_QF_TIE_TOL)
+    if not advantaged.size:
         raise NoCrossoverError(n, dominant=n)
-    positives = [i for i in range(first_adv) if deltas[i] > 0.0]
-    if not positives:
+    first_adv = advantaged[0]
+    positives = np.flatnonzero(deltas[:first_adv] > 0.0)
+    if not positives.size:
         raise NoCrossoverError(n, dominant=n + 1)  # ahead as soon as both rules exist
     bracket = (qs[positives[-1]], qs[first_adv])
-    root = float(optimize.brentq(delta, *bracket, xtol=1e-15, rtol=8.9e-16, maxiter=200))
+    root = optimize.brentq(lambda q: gaps(np.array([q]))[0], *bracket,
+                           xtol=1e-15, rtol=8.9e-16, maxiter=200)
     return Probability(root)
 
 
@@ -271,43 +282,34 @@ def crossover_table(num_radios_k: int, sensing: SensingParams,
                     channel: ReportChannel) -> CrossoverTable:
     """Crossover miss levels for every consecutive rule pair 1..K-1."""
     entries: Dict[int, float] = {}
-    pe = channel.pe
+    pe = float(channel.pe)
     for n in range(1, num_radios_k):
-        rule = FusionConfig(num_radios_k=num_radios_k, vote_threshold_n=n)
         try:
-            entries[n] = float(qm_star(rule, sensing, channel))
+            entries[n] = float(qm_star(FusionConfig(num_radios_k=num_radios_k, vote_threshold_n=n),
+                                       sensing, channel))
         except NoCrossoverError as err:
-            if err.dominant == n:
-                entries[n] = math.inf
-            else:
-                # Rule n+1 wins as soon as it is feasible at all.
-                entries[n] = float(asymptotic_qm(replace(rule, vote_threshold_n=n + 1), pe))
+            # Rule n+1 wins as soon as it is feasible at all.
+            entries[n] = math.inf if err.dominant == n else float(_fused_qm(num_radios_k, n + 1, 0.0, pe))
     return CrossoverTable(num_radios_k=num_radios_k, entries=entries)
 
 
-def _direct_search(num_radios_k: int, sensing, channel, target: float) -> Tuple[int, float, float, float]:
+def _direct_search(k: int, samples_m: int, gamma: float, pe: float,
+                   target: float) -> Tuple[int, float, float, float]:
     """Constrained minimization: over rules and thresholds, the lowest fused
-    false alarm subject to the fused miss staying at or below the target."""
-    pe = channel.pe
-    best = None
-    for n in range(1, num_radios_k + 1):
-        rule = FusionConfig(num_radios_k=num_radios_k, vote_threshold_n=n)
-        if target < float(asymptotic_qm(rule, pe)):
-            continue  # this rule cannot reach the target at any threshold
-        lam = _lambda_for_qm(rule, sensing, channel, target)
-        if lam is None:
-            qf = float(asymptotic_qf(rule, pe))
-            qm = _qm_loose_limit(rule, pe)
-            lam = math.inf
-        else:
-            qf = _qf_of_lambda(rule, sensing, channel, lam)
-            qm = _qm_of_lambda(rule, sensing, channel, lam)
-        if best is None or qf < best[1] - _QF_TIE_TOL:
-            best = (n, qf, qm, lam)
-    if best is None:
-        raise InfeasibleTargetError(target, float(asymptotic_qm(
-            FusionConfig(num_radios_k=num_radios_k, vote_threshold_n=1), pe)))
-    return best
+    false alarm subject to the fused miss staying at or below the target.
+
+    Returns the chosen rule's (n, lambda, qf, qm).
+    """
+    ns = np.arange(1, k + 1)
+    ns = ns[target >= _fused_qm(k, ns, 0.0, pe)]  # the others cannot reach it at any threshold
+    if not ns.size:
+        raise InfeasibleTargetError(target, float(_fused_qm(k, 1, 0.0, pe)))
+    lam, qf, qm = _achieved(k, ns, samples_m, gamma, pe, target)
+    best = 0
+    for i in range(1, ns.size):
+        if qf[i] < qf[best] - _QF_TIE_TOL:
+            best = i
+    return int(ns[best]), float(lam[best]), float(qf[best]), float(qm[best])
 
 
 def optimal_n(target_qm: float, num_radios_k: int, sensing: SensingParams,
@@ -326,8 +328,8 @@ def optimal_n(target_qm: float, num_radios_k: int, sensing: SensingParams,
         raise ValueError(f"target_qm must lie strictly inside (0, 1), got {target_qm!r}")
     if not isinstance(num_radios_k, int) or num_radios_k < 1:
         raise ValueError(f"num_radios_k must be a positive integer, got {num_radios_k!r}")
-    pe = channel.pe
-    min_floor = float(asymptotic_qm(FusionConfig(num_radios_k=num_radios_k, vote_threshold_n=1), pe))
+    m, g, pe = sensing.samples_m, sensing.avg_snr_gamma, float(channel.pe)
+    min_floor = float(_fused_qm(num_radios_k, 1, 0.0, pe))
     if target < min_floor:
         raise InfeasibleTargetError(target, min_floor)
 
@@ -335,17 +337,9 @@ def optimal_n(target_qm: float, num_radios_k: int, sensing: SensingParams,
         table = crossover_table(num_radios_k, sensing, channel)
     interval_n = 1 + sum(1 for n in range(1, num_radios_k) if table.entries[n] < target)
 
-    direct_n, _, _, _ = _direct_search(num_radios_k, sensing, channel, target)
-
-    chosen = FusionConfig(num_radios_k=num_radios_k, vote_threshold_n=interval_n)
-    lam = _lambda_for_qm(chosen, sensing, channel, target)
-    if lam is None:
-        qf = float(asymptotic_qf(chosen, pe))
-        qm = _qm_loose_limit(chosen, pe)
-        lam = math.inf
-    else:
-        qf = _qf_of_lambda(chosen, sensing, channel, lam)
-        qm = _qm_of_lambda(chosen, sensing, channel, lam)
+    direct_n, lam, qf, qm = _direct_search(num_radios_k, m, g, pe, target)
+    if interval_n != direct_n:
+        lam, qf, qm = (float(v[0]) for v in _achieved(num_radios_k, np.array([interval_n]), m, g, pe, target))
 
     return OptimalRule(
         target_qm=target,

@@ -1,6 +1,7 @@
 """Vote fusion closed forms against the exhaustive enumeration oracle."""
 import math
 
+import numpy as np
 import pytest
 
 from coopsense.fusion import (
@@ -162,3 +163,49 @@ class TestReductions:
                     tilde = float(flip_composition(pf, pe))
                     direct = 1.0 - (1.0 - tilde) ** k
                     assert float(fused_qf(cfg(k, 1), pf, pe)) == pytest.approx(direct, abs=1e-12)
+
+
+def tails_mpmath(k, n, p, pe):
+    """(qf, qm) at 60 digits from the exact binomial sums in the post-flip probabilities."""
+    mp = pytest.importorskip("mpmath")
+    with mp.workdps(60):
+        p, e = mp.mpf(p), mp.mpf(pe)
+        hit = p * (1 - e) + (1 - p) * e       # bit counts toward the tail
+        other = (1 - p) * (1 - e) + p * e
+        # with p = pf the tail counts ones (>= n); with p = pm it counts zeros (>= K-n+1)
+        qf = mp.fsum(mp.binomial(k, j) * hit**j * other ** (k - j) for j in range(n, k + 1))
+        qm = mp.fsum(mp.binomial(k, j) * hit**j * other ** (k - j) for j in range(k - n + 1, k + 1))
+        return qf, qm
+
+
+class TestArrayKernels:
+    def test_kernels_match_the_public_functions_elementwise(self):
+        from coopsense.fusion import _fused_qf, _fused_qm
+
+        ps = np.array([0.0, 1e-9, 0.1, 0.5, 0.9, 1.0])
+        for k in (1, 4, 9):
+            ns = np.arange(1, k + 1)[:, None]
+            for pe in (0.0, 1e-7, 0.0569, 0.3, 0.5):
+                qf, qm = _fused_qf(k, ns, ps, pe), _fused_qm(k, ns, ps, pe)
+                assert qf.shape == qm.shape == (k, ps.size)
+                for n in range(1, k + 1):
+                    for j, p in enumerate(ps):
+                        assert qf[n - 1, j] == float(fused_qf(cfg(k, n), p, pe))
+                        assert qm[n - 1, j] == float(fused_qm(cfg(k, n), p, pe))
+                    assert _fused_qf(k, n, 0.0, pe) == float(asymptotic_qf(cfg(k, n), pe))
+                    assert _fused_qm(k, n, 0.0, pe) == float(asymptotic_qm(cfg(k, n), pe))
+
+    def test_tails_against_mpmath(self):
+        from coopsense.fusion import _fused_qf, _fused_qm
+
+        worst = 0.0
+        for k in (4, 8, 32, 200):
+            ns = sorted({1, 2, k // 2, k // 2 + 1, k - 1, k})
+            for pe in np.geomspace(1e-15, 0.49, 8):
+                for p in (0.0, 1e-6, 0.3, 1.0):
+                    for n in ns:
+                        ref_f, ref_m = tails_mpmath(k, n, p, float(pe))
+                        for got, ref in ((_fused_qf(k, n, p, pe), ref_f), (_fused_qm(k, n, p, pe), ref_m)):
+                            if ref >= 1e-300:
+                                worst = max(worst, float(abs(float(got) - ref) / ref))
+        assert worst <= 1e-12

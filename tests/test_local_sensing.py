@@ -1,6 +1,7 @@
 """Single-radio closed forms against literal sums, quadrature, and inversion round trips."""
 import math
 
+import numpy as np
 import pytest
 from scipy import integrate
 from scipy.stats import ncx2
@@ -159,3 +160,50 @@ class TestThresholdForPf:
                 threshold_for_pf(bad, 6)
         with pytest.raises(ValueError):
             threshold_for_pf(0.5, 0)
+
+
+def pm_mpmath(m, lam, g):
+    """1 - pd from the literal finite sums at 80 digits, far beyond the cancellation."""
+    mp = pytest.importorskip("mpmath")
+    with mp.workdps(80):
+        lam, g = mp.mpf(lam), mp.mpf(g)
+        s1 = mp.fsum((lam / 2) ** l / mp.factorial(l) for l in range(m - 1))
+        s2 = mp.fsum((lam * g / (2 + 2 * g)) ** l / mp.factorial(l) for l in range(m - 1))
+        pd = mp.exp(-lam / 2) * s1 + ((1 + g) / g) ** (m - 1) * (
+            mp.exp(-lam / (2 + 2 * g)) - mp.exp(-lam / 2) * s2)
+        return 1 - pd
+
+
+PM_GRID = [(m, snr_db, lam) for m in (1, 2, 6, 16) for snr_db in (-5.0, 0.0, 7.5, 15.0, 22.5, 30.0)
+           for lam in (0.5, 1.3, 4.0, 12.0, 35.0, 100.0)]
+
+
+class TestLocalPmAccuracy:
+    def test_relative_accuracy_against_mpmath(self):
+        # pm is formed directly; 1 - pd loses every digit at small thresholds and high SNR
+        worst = 0.0
+        for m, snr_db, lam in PM_GRID:
+            g = 10.0 ** (snr_db / 10.0)
+            ref = pm_mpmath(m, lam, g)
+            worst = max(worst, float(abs(float(local_pm(params(m, lam, g))) - ref) / ref))
+        assert worst <= 1e-9
+
+    def test_complement_identity_over_the_grid(self):
+        for m, snr_db, lam in PM_GRID:
+            p = params(m, lam, 10.0 ** (snr_db / 10.0))
+            assert float(local_pd(p)) + float(local_pm(p)) == pytest.approx(1.0, abs=1e-15)
+
+
+class TestArrayKernels:
+    def test_kernels_match_the_public_functions_elementwise(self):
+        from coopsense.local_sensing import _local_pf, _local_pm
+
+        lams = np.array([0.0, 0.5, 3.0, 12.0, 40.0, 150.0])
+        for m in (1, 2, 6, 16):
+            for g in (0.3, 10.0, 1000.0):
+                pf, pm = _local_pf(m, lams), _local_pm(m, g, lams)
+                assert pf.shape == pm.shape == lams.shape
+                for i, lam in enumerate(lams):
+                    p = params(m, float(lam), g)
+                    assert pf[i] == pytest.approx(float(local_pf(p)), rel=1e-15, abs=0.0)
+                    assert pm[i] == pytest.approx(float(local_pm(p)), rel=1e-15, abs=0.0)

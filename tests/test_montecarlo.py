@@ -187,3 +187,40 @@ class TestCommonRandomNumbers:
             se_m = math.sqrt(float(qm) * (1.0 - float(qm)) / res.trials_h1)
             assert abs(float(res.qf_hat) - float(qf)) <= 4.0 * se_f
             assert abs(float(res.qm_hat) - float(qm)) <= 4.0 * se_m
+
+
+class _SerialPool:
+    """Stands in for ThreadPoolExecutor: records max_workers and maps serially, starting no thread."""
+
+    sizes: list = []
+
+    def __init__(self, max_workers):
+        self.sizes.append(max_workers)
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        return False
+
+    def map(self, fn, items):
+        return map(fn, items)
+
+
+class TestWorkerCap:
+    @pytest.mark.parametrize("workers,trials,cores,expected", [
+        (64, 3 * 16384, 8, 3),     # capped by the chunk count
+        (64, 5 * 16384, 4, 4),     # capped by the cores
+        (3, 5 * 16384, 8, 3),      # as asked
+        (64, 100, 8, None),        # one chunk runs inline, without a pool
+    ])
+    def test_pool_size_is_capped(self, monkeypatch, workers, trials, cores, expected):
+        import coopsense.montecarlo as mc
+
+        monkeypatch.setattr(mc, "ThreadPoolExecutor", _SerialPool)
+        monkeypatch.setattr(mc.os, "cpu_count", lambda: cores)
+        _SerialPool.sizes = []
+        s = scenario(trials=trials, seed=13)
+        result = run_grid(s, [10.0], [2], workers=workers)
+        assert _SerialPool.sizes == ([] if expected is None else [expected])
+        assert result == run_grid(s, [10.0], [2], workers=1)

@@ -274,3 +274,46 @@ class TestEmpiricalOverlay:
                 se_m = math.sqrt(float(qm) * (1 - float(qm)) / sim.trials_h1)
                 assert abs(float(sim.qf_hat) - float(qf)) <= 4.0 * se_f
                 assert abs(float(sim.qm_hat) - float(qm)) <= 4.0 * se_m
+
+
+class TestKernelPath:
+    def test_rule_point_matches_operating_point_elementwise(self):
+        from coopsense.roc import _rule_point
+
+        lams = np.array(pf_spaced_grid(30))
+        pe = float(CH10.pe)
+        for n in (1, 2, 4):
+            qf, qm = _rule_point(4, n, 6, 100.0, pe, lams)
+            for i, lam in enumerate(lams):
+                ref_f, ref_m = operating_point(rule(4, n), SENSING, CH10, float(lam))
+                assert (qf[i], qm[i]) == (float(ref_f), float(ref_m))
+
+    def test_infinite_threshold_gives_floor_and_loose_limit(self):
+        from coopsense.roc import _rule_point
+
+        pe = float(CH10.pe)
+        for n in (1, 2, 3, 4):
+            qf, qm = _rule_point(4, n, 6, 100.0, pe, np.inf)
+            assert qf == float(asymptotic_qf(rule(4, n), pe))
+            assert qm == float(fused_qm(rule(4, n), 1.0, pe))
+
+    def test_inversion_hits_the_target_and_ignores_its_batch(self):
+        from coopsense.roc import _lambda_for_qm, _rule_point
+
+        pe = float(CH10.pe)
+        targets = np.array([2e-3, 0.05, 0.3])
+        ns = np.array([1, 2, 4])
+        batch = _lambda_for_qm(4, ns, 6, 100.0, pe, targets)
+        for n, target, lam in zip(ns, targets, batch):
+            alone = _lambda_for_qm(4, np.array([n]), 6, 100.0, pe, target)
+            assert alone[0] == lam
+            assert float(_rule_point(4, n, 6, 100.0, pe, lam)[1]) == pytest.approx(target, rel=1e-9)
+
+    def test_achieved_point_is_reused_from_the_direct_search(self):
+        from coopsense.roc import _achieved
+
+        pe = float(CH10.pe)
+        for target in (3e-4, 0.05, 0.45, 0.7):
+            res = optimal_n(target, 4, SENSING, CH10)
+            lam, qf, qm = _achieved(4, np.array([res.n]), 6, 100.0, pe, target)
+            assert (res.achieved_lambda, res.achieved_qf, res.achieved_qm) == (lam[0], qf[0], qm[0])
