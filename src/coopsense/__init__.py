@@ -18,7 +18,7 @@ from .fusion import (
 )
 from .local_sensing import SensingParams, local_pd, local_pf, local_pm, threshold_for_pf
 from .mathx import Probability, db_to_linear, gaussian_q, log_binomial, reg_upper_incomplete_gamma
-from .montecarlo import SimResult, SimScenario, run_grid, run_sim, run_sweep
+from .montecarlo import SimResult, SimScenario, run_grid, run_sim
 from .reporting import (
     ReportChannel,
     channel_from_snr_db,
@@ -73,7 +73,6 @@ __all__ = [
     "asymptotic_qm",
     "enumerate_rule",
     "run_sim",
-    "run_sweep",
     "run_grid",
     "operating_point",
     "analytic_roc",

@@ -14,12 +14,27 @@ from (seed, chunk index, stream id) alone, with one stream per purpose per
 radio. Chunk tallies are plain integers, so the reduction is exact and
 independent of how many workers executed the chunks. Sweeps over thresholds
 and vote rules reuse the same draws (common random numbers): thresholds only
-enter at the comparison stage.
+enter at the comparison stage. At most 2*workers chunks are in flight at
+once, so memory does not grow with the number of trials.
+
+Tallies by counting. A radio decides 1 at threshold lambda when its statistic
+t >= lambda; a tie reads as 1. Over the L strictly increasing thresholds its
+decisions are therefore fixed by one integer c, the number of thresholds t
+clears. The received bit is the decision plus the report noise w, sliced at
+0.5 with ties again reading as 1: w >= 0.5 gives 1 at every threshold,
+w < -0.5 gives 0 at every threshold, and any w in between passes the decision
+through. So the received bits are fixed by r = L, 0 or c. The vote reaches n
+at the li-th threshold exactly when the trial's n-th largest r exceeds li.
+Every tally is then a histogram of c or of an n-th largest r, read through a
+cumulative sum. Each threshold costs one comparison per radio and each rule
+one histogram per chunk.
 """
 from __future__ import annotations
 
+import functools
 import math
 import os
+from collections import deque
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from typing import Sequence
@@ -35,7 +50,6 @@ __all__ = [
     "SimScenario",
     "SimResult",
     "run_sim",
-    "run_sweep",
     "run_grid",
     "sample_energy_statistic",
 ]
@@ -105,60 +119,97 @@ def _rng(seed: int, chunk_index: int, stream: int) -> np.random.Generator:
     return np.random.default_rng(np.random.SeedSequence(seed, spawn_key=(chunk_index, stream)))
 
 
-def _chunk_sizes(trials: int) -> list[int]:
-    full, rest = divmod(trials, CHUNK_TRIALS)
-    return [CHUNK_TRIALS] * full + ([rest] if rest else [])
+def _energy_statistic(z: np.ndarray, amp: np.ndarray) -> np.ndarray:
+    """T = sum((s + X_j)^2) + sum(Y_j^2) over the M columns of each half of ``z``.
+
+    With s = sqrt(2*snr/M) this is chi-square(2M) when idle and noncentral
+    chi-square with noncentrality 2*snr when active.
+    """
+    m = z.shape[1] // 2
+    x = z[:, :m]
+    y = z[:, m:]
+    return ((x + amp[:, None]) ** 2).sum(axis=1) + (y * y).sum(axis=1)
+
+
+def _above(hist: np.ndarray) -> np.ndarray:
+    """From a histogram over ranks 0..L, the count of ranks > li for li in 0..L-1."""
+    return hist[..., :0:-1].cumsum(axis=-1)[..., ::-1]
+
+
+def _at_most(hist: np.ndarray) -> np.ndarray:
+    """From a histogram over ranks 0..L, the count of ranks <= li for li in 0..L-1."""
+    return hist[..., :-1].cumsum(axis=-1)
+
+
+def _tallies(radios, active: np.ndarray, lambdas: Sequence[float], n_values: Sequence[int]):
+    """Integer tallies of one chunk of trials, for every (lambda, n) pair.
+
+    ``radios`` yields one ``(t, w)`` pair per radio: the energy statistic and
+    the report noise of every trial. ``active`` marks the trials where the
+    band is occupied. Returns ``(n_h0, n_h1, assert_h0, silent_h1, flips,
+    false_alarms, misses)``: the trial counts per hypothesis; per threshold,
+    the asserted 1s over idle trials, the asserted 0s over active trials and
+    the received bits that differ from the transmitted one, all summed over
+    radios; and per (threshold, rule), the fused false alarms and misses.
+    """
+    n_lam = len(lambdas)
+    width = n_lam + 1                  # c and r take values 0..L
+    rank = np.min_scalar_type(n_lam)
+    n_max = max(n_values)
+    hyp = width * active               # moves active trials to a second histogram
+    hist = np.zeros(6 * width, dtype=np.int64)  # c by (report zone, hypothesis)
+    top = []                           # per trial, the n_max largest r so far, largest first
+    for t, w in radios:
+        c = np.zeros(len(t), dtype=rank)
+        for lam in lambdas:
+            c += t >= lam              # c = number of thresholds t clears; t == lambda clears it
+        hi = w >= 0.5                  # received bit reads 1 at every threshold
+        lo = w < -0.5                  # received bit reads 0 at every threshold
+        key = hyp + c
+        key += (2 * width) * hi
+        key += (4 * width) * lo
+        hist += np.bincount(key, minlength=6 * width)
+        r = np.maximum(c, hi * rank.type(n_lam))  # thresholds at which the received bit reads 1
+        r[lo] = 0
+        for j, v in enumerate(top):
+            top[j], r = np.maximum(v, r), np.minimum(v, r)
+        if len(top) < n_max:
+            top.append(r)
+
+    mid, high, low = hist.reshape(3, 2, width)
+    by_hyp = mid + high + low
+    n_h1 = int(np.count_nonzero(active))
+    n_h0 = len(active) - n_h1
+    assert_h0 = _above(by_hyp[0])
+    silent_h1 = _at_most(by_hyp[1])
+    # w >= 0.5 flips the thresholds the radio does not clear, w < -0.5 the ones it does
+    flips = _at_most(high.sum(axis=0)) + _above(low.sum(axis=0))
+    # a trial's vote reaches n at threshold li exactly when its n-th largest r exceeds li
+    fused = np.stack([np.bincount(top[n - 1] + hyp, minlength=2 * width) for n in n_values])
+    fused = fused.reshape(len(n_values), 2, width)
+    false_alarms = _above(fused[:, 0]).T
+    misses = _at_most(fused[:, 1]).T
+    return n_h0, n_h1, assert_h0, silent_h1, flips, false_alarms, misses
 
 
 def _chunk_tallies(scenario: SimScenario, lambdas: Sequence[float], n_values: Sequence[int],
                    chunk_index: int, count: int):
-    """Integer tallies for one chunk of trials, for every (lambda, n) pair."""
+    """Draw one chunk of trials and tally it (see :func:`_tallies`)."""
     m = scenario.sensing.samples_m
     gbar = scenario.sensing.avg_snr_gamma
     sigma = math.sqrt(scenario.channel.noise_var_sigma2)
-    k = scenario.fusion.num_radios_k
     seed = scenario.seed
-    n_lam = len(lambdas)
-
     active = _rng(seed, chunk_index, _STREAM_HYPOTHESIS).random(count) < 0.5
-    idle = ~active
-    n_h1 = int(active.sum())
-    n_h0 = count - n_h1
 
-    ones = np.zeros((n_lam, count), dtype=np.int32)
-    assert_h0 = [0] * n_lam     # asserted 1s over idle trials, all radios
-    silent_h1 = [0] * n_lam     # asserted 0s over active trials, all radios
-    flips = [0] * n_lam         # received bit != transmitted bit, all radios
+    def radios():
+        for radio in range(scenario.fusion.num_radios_k):
+            base = _STREAM_BASE + 3 * radio
+            snr = _rng(seed, chunk_index, base + _OFFSET_SNR).exponential(gbar, count)
+            z = _rng(seed, chunk_index, base + _OFFSET_SENSE).standard_normal((count, 2 * m))
+            w = _rng(seed, chunk_index, base + _OFFSET_REPORT).standard_normal(count) * sigma
+            yield _energy_statistic(z, np.where(active, np.sqrt(2.0 * snr / m), 0.0)), w
 
-    for radio in range(k):
-        base = _STREAM_BASE + 3 * radio
-        snr = _rng(seed, chunk_index, base + _OFFSET_SNR).exponential(gbar, count)
-        z = _rng(seed, chunk_index, base + _OFFSET_SENSE).standard_normal((count, 2 * m))
-        w = _rng(seed, chunk_index, base + _OFFSET_REPORT).standard_normal(count) * sigma
-
-        # Statistic T = sum((s + X_j)^2) + sum(Y_j^2) with s = sqrt(2*snr/m):
-        # chi-square(2m) when idle, noncentral with noncentrality 2*snr when active.
-        amp = np.where(active, np.sqrt(2.0 * snr / m), 0.0)
-        x = z[:, :m]
-        y = z[:, m:]
-        t = ((x + amp[:, None]) ** 2).sum(axis=1) + (y * y).sum(axis=1)
-
-        for li, lam in enumerate(lambdas):
-            d = t >= lam
-            received = w >= (0.5 - d)  # slice d + w at 0.5; ties read as 1
-            ones[li] += received
-            flips[li] += int((received != d).sum())
-            assert_h0[li] += int(d[idle].sum())
-            silent_h1[li] += int((~d)[active].sum())
-
-    false_alarms = np.empty((n_lam, len(n_values)), dtype=np.int64)
-    misses = np.empty((n_lam, len(n_values)), dtype=np.int64)
-    for li in range(n_lam):
-        for ni, n in enumerate(n_values):
-            fused = ones[li] >= n
-            false_alarms[li, ni] = int(fused[idle].sum())
-            misses[li, ni] = int((~fused)[active].sum())
-    return n_h0, n_h1, assert_h0, silent_h1, flips, false_alarms, misses
+    return _tallies(radios(), active, lambdas, n_values)
 
 
 def _rate(count: int, total: int) -> Probability:
@@ -167,6 +218,29 @@ def _rate(count: int, total: int) -> Probability:
 
 def _stderr(p: float, total: int) -> float:
     return math.sqrt(p * (1.0 - p) / total) if total > 0 else 0.0
+
+
+def _sum_chunks(scenario: SimScenario, lambdas: list[float], n_values: list[int], workers: int):
+    """Tally every chunk and add the tallies up, with at most 2*workers chunks in flight."""
+    trials = scenario.trials
+    starts = range(0, trials, CHUNK_TRIALS)
+    jobs = ((scenario, lambdas, n_values, ci, min(CHUNK_TRIALS, trials - start))
+            for ci, start in enumerate(starts))
+    workers = min(workers, len(starts), os.cpu_count() or 1)  # extra threads would only idle
+    parts = (_chunk_tallies(*job) for job in jobs) if workers == 1 else _pooled(workers, jobs)
+    return functools.reduce(lambda a, b: [x + y for x, y in zip(a, b)], parts)
+
+
+def _pooled(workers: int, jobs):
+    """Run ``_chunk_tallies`` on each job in a pool and yield the results in order."""
+    with ThreadPoolExecutor(max_workers=workers) as pool:
+        pending = deque()
+        for job in jobs:
+            if len(pending) == 2 * workers:
+                yield pending.popleft().result()
+            pending.append(pool.submit(_chunk_tallies, *job))
+        while pending:
+            yield pending.popleft().result()
 
 
 def run_grid(scenario: SimScenario, lambdas: Sequence[float], n_values: Sequence[int],
@@ -192,23 +266,9 @@ def run_grid(scenario: SimScenario, lambdas: Sequence[float], n_values: Sequence
     if workers < 1:
         raise ValueError("workers must be >= 1")
 
-    sizes = _chunk_sizes(scenario.trials)
-    jobs = [(scenario, lambdas, n_values, ci, sz) for ci, sz in enumerate(sizes)]
-    workers = min(workers, len(jobs), os.cpu_count() or 1)  # extra threads would only idle
-    if workers == 1:
-        parts = [_chunk_tallies(*job) for job in jobs]
-    else:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            parts = list(pool.map(lambda job: _chunk_tallies(*job), jobs))
-
     n_lam, n_n = len(lambdas), len(n_values)
-    n_h0 = sum(p[0] for p in parts)
-    n_h1 = sum(p[1] for p in parts)
-    assert_h0 = [sum(p[2][li] for p in parts) for li in range(n_lam)]
-    silent_h1 = [sum(p[3][li] for p in parts) for li in range(n_lam)]
-    flips = [sum(p[4][li] for p in parts) for li in range(n_lam)]
-    false_alarms = [[sum(int(p[5][li, ni]) for p in parts) for ni in range(n_n)] for li in range(n_lam)]
-    misses = [[sum(int(p[6][li, ni]) for p in parts) for ni in range(n_n)] for li in range(n_lam)]
+    n_h0, n_h1, *counts = _sum_chunks(scenario, lambdas, n_values, workers)
+    assert_h0, silent_h1, flips, false_alarms, misses = (v.tolist() for v in counts)
 
     out: list[list[SimResult]] = []
     for li in range(n_lam):
@@ -240,16 +300,6 @@ def run_sim(scenario: SimScenario, workers: int = 1) -> SimResult:
     return grid[0][0]
 
 
-def run_sweep(scenario: SimScenario, lambdas: Sequence[float], workers: int = 1) -> list[SimResult]:
-    """Simulate a strictly increasing threshold sweep with common random numbers.
-
-    Each entry is bit-identical to :func:`run_sim` on the same scenario with
-    that threshold, so results do not depend on evaluation order.
-    """
-    grid = run_grid(scenario, lambdas, [scenario.fusion.vote_threshold_n], workers=workers)
-    return [row[0] for row in grid]
-
-
 def sample_energy_statistic(sensing: SensingParams, occupied: bool, trials: int,
                             seed: int) -> np.ndarray:
     """Draw raw energy statistics for one radio, for distributional checks.
@@ -266,6 +316,4 @@ def sample_energy_statistic(sensing: SensingParams, occupied: bool, trials: int,
         amp = np.sqrt(2.0 * snr / m)
     else:
         amp = np.zeros(trials)
-    x = z[:, :m]
-    y = z[:, m:]
-    return ((x + amp[:, None]) ** 2).sum(axis=1) + (y * y).sum(axis=1)
+    return _energy_statistic(z, amp)

@@ -1,5 +1,6 @@
 """Command line contract: schemas, determinism, exit codes, config handling."""
 import csv
+import hashlib
 import json
 import math
 import subprocess
@@ -186,6 +187,26 @@ class TestSimulate:
         row = read_csv(out)[0]
         assert set(row) == set(SIM_COLUMNS)
         assert int(row["trials_h0"]) + int(row["trials_h1"]) == 1
+
+    # sha256 of the CSV written by the slicing tally that the counting tally replaced
+    GOLDEN = {
+        "noisy": (["--k", "4", "--n", "1", "--n", "2", "--n", "3", "--n", "4", "--samples-m", "6",
+                   "--snr-db", "10", "--report-snr-db", "15", "--lambda-grid", "8:24:9",
+                   "--trials", "200000", "--seed", "20261018"],
+                  "2b268dd4644106616502be6b13813b497c943577d019c6b6a0fd021033f5aca9"),
+        "perfect": (["--k", "5", "--n", "1", "--n", "3", "--n", "5", "--samples-m", "4",
+                     "--snr-db", "5", "--perfect-report", "--lambda-grid", "0:16:5",
+                     "--trials", "60000", "--seed", "7"],
+                    "061988c0c9220fd4c0a123d7b292b3ddd8207bbfffe04a8ced01acfa3e3d90bd"),
+    }
+
+    @pytest.mark.parametrize("workers", ["1", "2"])
+    @pytest.mark.parametrize("name", sorted(GOLDEN))
+    def test_output_matches_golden_digest(self, tmp_path, name, workers):
+        args, digest = self.GOLDEN[name]
+        out = tmp_path / "sim.csv"
+        assert main(["simulate", *args, "--workers", workers, "--out", str(out)]) == 0
+        assert hashlib.sha256(out.read_bytes()).hexdigest() == digest
 
     def test_requires_trials_and_seed(self):
         proc = run_cli("simulate", *BASE, "--n", "1", "--lambda", "12", "--seed", "5")

@@ -6,13 +6,8 @@ import pytest
 
 from coopsense.fusion import FusionConfig, fused_qf, fused_qm
 from coopsense.local_sensing import SensingParams, local_pf, local_pm
-from coopsense.montecarlo import (
-    SimScenario,
-    run_grid,
-    run_sim,
-    run_sweep,
-    sample_energy_statistic,
-)
+import coopsense.montecarlo as mc
+from coopsense.montecarlo import SimScenario, run_grid, run_sim, sample_energy_statistic
 from coopsense.reporting import channel_from_snr_db, perfect_channel
 
 
@@ -53,7 +48,7 @@ class TestValidation:
         with pytest.raises(ValueError):
             run_grid(s, [1.0], [2, 2])
         with pytest.raises(ValueError):
-            run_sweep(s, [1.0, 1.0])
+            run_grid(s, [1.0, 1.0], [2])
 
 
 class TestDeterminism:
@@ -70,7 +65,7 @@ class TestDeterminism:
     def test_sweep_entries_match_standalone_runs(self):
         base = scenario(trials=40_000, seed=17)
         lambdas = [6.0, 12.0, 20.0]
-        sweep = run_sweep(base, lambdas)
+        sweep = [row[0] for row in run_grid(base, lambdas, [2])]
         for lam, res in zip(lambdas, sweep):
             single = run_sim(scenario(trials=40_000, seed=17, lam=lam))
             assert res == single
@@ -168,7 +163,7 @@ class TestCommonRandomNumbers:
     def test_sweep_false_alarms_are_monotone_per_realization(self):
         # shared draws and nested decision regions force monotone empirical curves
         base = scenario(trials=50_000, seed=61)
-        sweep = run_sweep(base, [4.0, 8.0, 12.0, 16.0, 24.0])
+        sweep = [row[0] for row in run_grid(base, [4.0, 8.0, 12.0, 16.0, 24.0], [2])]
         qf = [float(r.qf_hat) for r in sweep]
         qm = [float(r.qm_hat) for r in sweep]
         assert all(b <= a for a, b in zip(qf, qf[1:]))
@@ -180,7 +175,7 @@ class TestCommonRandomNumbers:
 
         lambdas = sorted(threshold_for_pf(float(q), 6) for q in np.geomspace(1e-4, 0.95, 20))
         base = scenario(trials=200_000, seed=87)
-        sweep = run_sweep(base, lambdas)
+        sweep = [row[0] for row in run_grid(base, lambdas, [2])]
         curve = analytic_roc(base.fusion, base.sensing, base.channel, lambdas)
         for res, (_, qf, qm) in zip(sweep, curve.points):
             se_f = math.sqrt(float(qf) * (1.0 - float(qf)) / res.trials_h0)
@@ -189,13 +184,113 @@ class TestCommonRandomNumbers:
             assert abs(float(res.qm_hat) - float(qm)) <= 4.0 * se_m
 
 
+def slicing_tallies(t, w, active, lambdas, n_values):
+    """Oracle: the seven chunk tallies by slicing every threshold and every rule on its own.
+
+    ``t`` and ``w`` hold one row per radio. Each received bit is d + w sliced
+    at 0.5 with ties reading as 1, where d = t >= lambda is the local decision.
+    """
+    idle = ~active
+    n_h1 = int(active.sum())
+    n_lam = len(lambdas)
+    ones = np.zeros((n_lam, active.size), dtype=np.int32)
+    assert_h0, silent_h1, flips = ([0] * n_lam for _ in range(3))
+    for t_radio, w_radio in zip(t, w):
+        for li, lam in enumerate(lambdas):
+            d = t_radio >= lam
+            received = w_radio >= (0.5 - d)
+            ones[li] += received
+            flips[li] += int((received != d).sum())
+            assert_h0[li] += int(d[idle].sum())
+            silent_h1[li] += int((~d)[active].sum())
+    false_alarms = [[int((ones[li] >= n)[idle].sum()) for n in n_values] for li in range(n_lam)]
+    misses = [[int((ones[li] < n)[active].sum()) for n in n_values] for li in range(n_lam)]
+    return active.size - n_h1, n_h1, assert_h0, silent_h1, flips, false_alarms, misses
+
+
+def counted_tallies(t, w, active, lambdas, n_values):
+    got = mc._tallies(zip(t, w), active, lambdas, n_values)
+    return tuple(v.tolist() if isinstance(v, np.ndarray) else v for v in got)
+
+
+class TestTallies:
+    """The counting tallies against the slicing oracle on hand-built arrays."""
+
+    @pytest.mark.parametrize("k", [1, 4, 8])
+    def test_random_draws_with_ties(self, k):
+        rng = np.random.default_rng(k)
+        lambdas = [0.0, 2.0, 5.0, 7.5, 11.0]
+        count = 300
+        # statistics drawn from the thresholds themselves hit t == lambda often
+        t = np.where(rng.random((k, count)) < 0.3,
+                     rng.choice(lambdas, (k, count)), rng.uniform(0.0, 13.0, (k, count)))
+        w = np.where(rng.random((k, count)) < 0.3,
+                     rng.choice([-0.5, 0.5], (k, count)), rng.normal(0.0, 0.6, (k, count)))
+        active = rng.random(count) < 0.5
+        for n_values in (list(range(1, k + 1)), [k], [1, k] if k > 1 else [1]):
+            assert counted_tallies(t, w, active, lambdas, n_values) == \
+                slicing_tallies(t, w, active, lambdas, n_values)
+
+    def test_exact_ties_at_every_boundary(self):
+        lambdas = [0.0, 1.0, 2.0]
+        t = np.array([[0.0, 1.0, 2.0, 0.5, 2.0, 1.0, 0.0, 3.0],
+                      [2.0, 0.0, 1.0, 1.0, 0.0, 2.0, 1.5, 1.0],
+                      [1.0, 2.0, 0.0, 2.0, 1.0, 0.0, 1.0, 0.0],
+                      [0.0, 0.0, 2.0, 1.0, 1.0, 1.0, 2.0, 2.0]])
+        w = np.array([[0.5, -0.5, 0.0, -0.0, 0.5, -0.5, 0.49, -0.51],
+                      [-0.5, 0.5, 0.5, -0.5, 0.0, 0.0, -0.5, 0.5],
+                      [0.0, -0.0, -0.5, 0.5, -0.5, 0.5, 0.0, 0.0],
+                      [0.5, 0.5, -0.5, -0.5, 0.5, -0.5, 0.5, -0.5]])
+        active = np.array([True, False, True, False, False, True, True, False])
+        expected = slicing_tallies(t, w, active, lambdas, [1, 2, 3, 4])
+        assert counted_tallies(t, w, active, lambdas, [1, 2, 3, 4]) == expected
+        # at lambda = 0 every radio decides 1; w == -0.5 still reads 1, only w = -0.51 flips
+        assert expected[4][0] == 1
+
+    def test_perfect_channel_passes_every_decision(self):
+        rng = np.random.default_rng(3)
+        t = rng.uniform(0.0, 10.0, (5, 200))
+        w = rng.standard_normal((5, 200)) * 0.0   # sigma = 0 gives +0.0 and -0.0
+        active = rng.random(200) < 0.5
+        got = counted_tallies(t, w, active, [0.0, 4.0, 9.0], [1, 3, 5])
+        assert got == slicing_tallies(t, w, active, [0.0, 4.0, 9.0], [1, 3, 5])
+        assert got[4] == [0, 0, 0]
+        # lambda = 0 asserts on every idle trial of every radio
+        assert got[2][0] == 5 * got[0]
+
+    @pytest.mark.parametrize("active", [True, False])
+    def test_single_trial(self, active):
+        t = np.array([[3.0], [1.0], [2.0], [2.0]])
+        w = np.array([[0.1], [0.7], [-0.9], [0.5]])
+        act = np.array([active])
+        for n_values in ([1, 2, 3, 4], [2], [3, 4]):
+            assert counted_tallies(t, w, act, [1.0, 2.0, 3.0], n_values) == \
+                slicing_tallies(t, w, act, [1.0, 2.0, 3.0], n_values)
+
+    def test_more_thresholds_than_a_byte_holds(self):
+        rng = np.random.default_rng(9)
+        lambdas = [float(v) for v in range(300)]
+        t = rng.uniform(0.0, 310.0, (3, 400)).round()
+        w = rng.normal(0.0, 0.5, (3, 400))
+        active = rng.random(400) < 0.5
+        assert counted_tallies(t, w, active, lambdas, [1, 2, 3]) == \
+            slicing_tallies(t, w, active, lambdas, [1, 2, 3])
+
+
 class _SerialPool:
-    """Stands in for ThreadPoolExecutor: records max_workers and maps serially, starting no thread."""
+    """Stands in for ThreadPoolExecutor, starting no thread.
+
+    Records each pool's max_workers and the peak number of submitted chunks whose
+    result has not been collected yet. A chunk runs when its result is asked for.
+    """
 
     sizes: list = []
+    submitted = 0
+    peak = 0
 
     def __init__(self, max_workers):
         self.sizes.append(max_workers)
+        self.in_flight = 0
 
     def __enter__(self):
         return self
@@ -203,8 +298,18 @@ class _SerialPool:
     def __exit__(self, *exc):
         return False
 
-    def map(self, fn, items):
-        return map(fn, items)
+    def submit(self, fn, *args):
+        pool = self
+        pool.in_flight += 1
+        _SerialPool.submitted += 1
+        _SerialPool.peak = max(_SerialPool.peak, pool.in_flight)
+
+        class Future:
+            def result(self):
+                pool.in_flight -= 1
+                return fn(*args)
+
+        return Future()
 
 
 class TestWorkerCap:
@@ -215,8 +320,6 @@ class TestWorkerCap:
         (64, 100, 8, None),        # one chunk runs inline, without a pool
     ])
     def test_pool_size_is_capped(self, monkeypatch, workers, trials, cores, expected):
-        import coopsense.montecarlo as mc
-
         monkeypatch.setattr(mc, "ThreadPoolExecutor", _SerialPool)
         monkeypatch.setattr(mc.os, "cpu_count", lambda: cores)
         _SerialPool.sizes = []
@@ -224,3 +327,17 @@ class TestWorkerCap:
         result = run_grid(s, [10.0], [2], workers=workers)
         assert _SerialPool.sizes == ([] if expected is None else [expected])
         assert result == run_grid(s, [10.0], [2], workers=1)
+
+
+class TestStreaming:
+    def test_chunks_in_flight_stay_bounded(self, monkeypatch):
+        monkeypatch.setattr(mc, "ThreadPoolExecutor", _SerialPool)
+        monkeypatch.setattr(mc.os, "cpu_count", lambda: 3)
+        monkeypatch.setattr(mc, "CHUNK_TRIALS", 64)
+        _SerialPool.sizes, _SerialPool.submitted, _SerialPool.peak = [], 0, 0
+        s = scenario(k=2, n=1, m=1, trials=64 * 40 + 5, seed=29)
+        result = run_grid(s, [1.0, 4.0], [1, 2], workers=3)
+        assert _SerialPool.sizes == [3]
+        assert _SerialPool.submitted == 41
+        assert _SerialPool.peak == 2 * 3
+        assert result == run_grid(s, [1.0, 4.0], [1, 2], workers=1)
