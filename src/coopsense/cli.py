@@ -18,7 +18,7 @@ import json
 import math
 import sys
 from dataclasses import replace
-from typing import Optional, Sequence
+from typing import NamedTuple, Optional, Sequence
 
 import numpy as np
 
@@ -36,13 +36,6 @@ EXIT_INFEASIBLE = 4
 
 ROC_COLUMNS = ["n", "lambda", "pf_local", "pm_local", "pe", "qf", "qm", "qf_floor", "qm_floor"]
 SIM_COLUMNS = ROC_COLUMNS + ["qf_hat", "qm_hat", "qf_stderr", "qm_stderr", "trials_h0", "trials_h1"]
-
-_CONFIG_KEYS = {
-    "k", "n", "samples_m", "snr_db", "report_snr_db", "perfect_report",
-    "lambda", "lambda_grid", "pf_grid", "target_qm", "trials", "seed",
-    "workers", "out", "format",
-}
-
 
 class ConfigError(ValueError):
     """Invalid or missing run configuration; the message names the field."""
@@ -68,14 +61,13 @@ def _build_parser() -> argparse.ArgumentParser:
         p.add_argument("--out", help="output file path (stdout when omitted)")
         p.add_argument("--format", choices=("csv", "json"), help="output format, default csv")
         if grids:
-            p.add_argument("--lambda", dest="lambda_value", type=float,
-                           help="single detection threshold")
+            p.add_argument("--lambda", type=float, help="single detection threshold")
             p.add_argument("--lambda-grid", help="linear threshold grid lo:hi:count")
             p.add_argument("--pf-grid", help="log-spaced local false alarm grid lo:hi:count")
 
     p = sub.add_parser("analyze", help="closed-form probabilities at one operating point")
     common(p)
-    p.add_argument("--lambda", dest="lambda_value", type=float, help="detection threshold")
+    p.add_argument("--lambda", type=float, help="detection threshold")
 
     p = sub.add_parser("roc", help="analytical ROC sweep to a file")
     common(p, grids=True)
@@ -95,7 +87,9 @@ def _build_parser() -> argparse.ArgumentParser:
 # ---------------------------------------------------------------------------
 # configuration assembly
 
-_PARSERS = {
+# Every config field, keyed by its config-file name (also its argparse dest),
+# with the parser of its config-file text.
+_FIELDS = {
     "k": int,
     "n": lambda s: [int(v) for v in s.split(",")],
     "samples_m": int,
@@ -129,10 +123,10 @@ def _read_config_file(path: str) -> dict:
             raise ConfigError(f"config: line {lineno} is not 'key = value': {raw.strip()!r}")
         key, _, value = line.partition("=")
         key = key.strip().lower().replace("-", "_")
-        if key not in _CONFIG_KEYS:
+        if key not in _FIELDS:
             raise ConfigError(f"config: unknown key {key!r} on line {lineno}")
         try:
-            values[key] = _PARSERS[key](value.strip())
+            values[key] = _FIELDS[key](value.strip())
         except (ValueError, KeyError) as err:
             raise ConfigError(f"{key}: cannot parse {value.strip()!r}") from err
     return values
@@ -140,15 +134,8 @@ def _read_config_file(path: str) -> dict:
 
 def _merge_config(args: argparse.Namespace) -> dict:
     cfg = _read_config_file(args.config) if getattr(args, "config", None) else {}
-    flag_names = {
-        "k": "k", "n": "n", "samples_m": "samples_m", "snr_db": "snr_db",
-        "report_snr_db": "report_snr_db", "perfect_report": "perfect_report",
-        "lambda": "lambda_value", "lambda_grid": "lambda_grid", "pf_grid": "pf_grid",
-        "target_qm": "target_qm", "trials": "trials", "seed": "seed",
-        "workers": "workers", "out": "out", "format": "format",
-    }
-    for key, attr in flag_names.items():
-        value = getattr(args, attr, None)
+    for key in _FIELDS:
+        value = getattr(args, key, None)
         if value is not None:
             cfg[key] = value
     cfg.setdefault("format", "csv")
@@ -224,16 +211,20 @@ def _parse_grid(text: str, field: str):
     return lo, hi, count
 
 
+def _lambda(cfg: dict) -> float:
+    lam = float(_require(cfg, "lambda"))
+    if not math.isfinite(lam) or lam < 0:
+        raise ConfigError(f"lambda: must be finite and >= 0, got {lam!r}")
+    return lam
+
+
 def _lambda_values(cfg: dict, samples_m: int) -> list[float]:
     given = [key for key in ("lambda", "lambda_grid", "pf_grid") if key in cfg]
     if len(given) != 1:
         raise ConfigError("lambda: give exactly one of lambda, lambda_grid, pf_grid, "
                           f"got {given or 'none'}")
     if "lambda" in cfg:
-        lam = float(cfg["lambda"])
-        if not math.isfinite(lam) or lam < 0:
-            raise ConfigError(f"lambda: must be finite and >= 0, got {lam!r}")
-        return [lam]
+        return [_lambda(cfg)]
     if "lambda_grid" in cfg:
         lo, hi, count = _parse_grid(cfg["lambda_grid"], "lambda_grid")
         if lo < 0:
@@ -257,16 +248,19 @@ def _fmt(value) -> str:
     return format(float(value), ".12g")
 
 
-def _emit(rows: list[dict], columns: list[str], out: Optional[str], fmt: str) -> None:
-    if fmt == "csv":
-        text_parts = []
-        text_parts.append(",".join(columns))
-        for row in rows:
-            text_parts.append(",".join(_fmt(row[c]) for c in columns))
-        text = "\n".join(text_parts) + "\n"
-    else:
-        clean = [{c: _json_value(row[c]) for c in columns} for row in rows]
-        text = json.dumps(clean, indent=2) + "\n"
+def _json_value(value):
+    return "inf" if isinstance(value, float) and math.isinf(value) else value
+
+
+def _csv(columns: list[str], lines: list[str]) -> str:
+    return "\n".join([",".join(columns), *lines]) + "\n"
+
+
+def _json(payload) -> str:
+    return json.dumps(payload, indent=2) + "\n"
+
+
+def _write(text: str, out: Optional[str]) -> None:
     if out is None:
         sys.stdout.write(text)
     else:
@@ -274,27 +268,59 @@ def _emit(rows: list[dict], columns: list[str], out: Optional[str], fmt: str) ->
             fh.write(text)
 
 
-def _json_value(value):
-    if isinstance(value, float) and math.isinf(value):
-        return "inf"
-    if isinstance(value, float):
-        return float(format(value, ".17g"))
-    return value
+class _Sweep(NamedTuple):
+    """The analytic columns of a sweep, one row per (rule n, threshold λ), n outermost.
+
+    ``points`` holds (lambda, pf_local, pm_local, pe) per λ and ``rules`` holds
+    (n, qf per λ, qm per λ, qf_floor, qm_floor) per rule, so a value shared by
+    many rows is stored, and formatted, once.
+    """
+
+    points: list[tuple]
+    rules: list[tuple]
+
+    def rows(self) -> list[tuple]:
+        """The values of each row, in ``ROC_COLUMNS`` order."""
+        return [(n, *point, f, q, qf_floor, qm_floor)
+                for n, qf, qm, qf_floor, qm_floor in self.rules
+                for point, f, q in zip(self.points, qf, qm)]
+
+    def csv_lines(self) -> list[str]:
+        """The CSV line of each row, equal to joining ``_fmt`` of its values."""
+        points = [",".join(map(_fmt, point)) for point in self.points]
+        lines = []
+        for n, qf, qm, qf_floor, qm_floor in self.rules:
+            # '%.12g' % x == _fmt(x) for every float x; no formatted value contains '%'
+            template = f"{n},%s,%.12g,%.12g,{_fmt(qf_floor)},{_fmt(qm_floor)}"
+            lines += [template % cell for cell in zip(points, qf, qm)]
+        return lines
 
 
-def _analytic_rows(k: int, ns: list[int], sensing: SensingParams, channel: ReportChannel,
-                   lambdas: list[float]) -> list[dict]:
+def _analytic_sweep(k: int, ns: list[int], sensing: SensingParams, channel: ReportChannel,
+                    lambdas: list[float]) -> _Sweep:
     m, pe = sensing.samples_m, float(channel.pe)
     pf = _local_pf(m, lambdas)
     pm = _local_pm(m, sensing.avg_snr_gamma, lambdas)
-    local = [{"lambda": lam, "pf_local": a, "pm_local": b, "pe": pe}
-             for lam, a, b in zip(lambdas, pf.tolist(), pm.tolist())]
-    rows = []
-    for n in ns:
-        floors = {"qf_floor": float(_fused_qf(k, n, 0.0, pe)), "qm_floor": float(_fused_qm(k, n, 0.0, pe))}
-        qf, qm = _fused_qf(k, n, pf, pe).tolist(), _fused_qm(k, n, pm, pe).tolist()
-        rows.extend({"n": n, **point, "qf": f, "qm": q, **floors} for point, f, q in zip(local, qf, qm))
-    return rows
+    points = [(lam, a, b, pe) for lam, a, b in zip(lambdas, pf.tolist(), pm.tolist())]
+    rules = [(n, _fused_qf(k, n, pf, pe).tolist(), _fused_qm(k, n, pm, pe).tolist(),
+              float(_fused_qf(k, n, 0.0, pe)), float(_fused_qm(k, n, 0.0, pe))) for n in ns]
+    return _Sweep(points, rules)
+
+
+def _emit_sweep(sweep: _Sweep, out: Optional[str], fmt: str, sim_fields=None) -> None:
+    """Write ``sweep`` as CSV or JSON; ``sim_fields`` appends the Monte Carlo columns to each row."""
+    columns = ROC_COLUMNS if sim_fields is None else SIM_COLUMNS
+    if fmt == "csv":
+        lines = sweep.csv_lines()
+        if sim_fields is not None:
+            lines = [f"{line},{','.join(map(_fmt, fields))}" for line, fields in zip(lines, sim_fields)]
+        text = _csv(columns, lines)
+    else:
+        rows = sweep.rows()
+        if sim_fields is not None:
+            rows = [row + fields for row, fields in zip(rows, sim_fields)]
+        text = _json([dict(zip(columns, map(_json_value, row))) for row in rows])
+    _write(text, out)
 
 
 # ---------------------------------------------------------------------------
@@ -307,17 +333,12 @@ def cmd_analyze(cfg: dict) -> int:
         raise ConfigError(f"n: analyze takes exactly one vote threshold, got {ns}")
     sensing = _sensing_template(cfg)
     channel = _channel(cfg)
-    if "lambda" not in cfg:
-        raise ConfigError("lambda: required for analyze")
-    lam = float(cfg["lambda"])
-    if not math.isfinite(lam) or lam < 0:
-        raise ConfigError(f"lambda: must be finite and >= 0, got {lam!r}")
-    rows = _analytic_rows(k, ns, sensing, channel, [lam])
-    row = rows[0]
+    sweep = _analytic_sweep(k, ns, sensing, channel, [_lambda(cfg)])
+    row = dict(zip(ROC_COLUMNS, sweep.rows()[0]))
     for key in ("pf_local", "pm_local", "pe", "qf", "qm", "qf_floor", "qm_floor"):
         print(f"{key} = {_fmt(row[key])}")
     if cfg.get("out") is not None:
-        _emit(rows, ROC_COLUMNS, cfg["out"], cfg["format"])
+        _emit_sweep(sweep, cfg["out"], cfg["format"])
     return EXIT_OK
 
 
@@ -327,8 +348,7 @@ def cmd_roc(cfg: dict) -> int:
     sensing = _sensing_template(cfg)
     channel = _channel(cfg)
     lambdas = _lambda_values(cfg, sensing.samples_m)
-    rows = _analytic_rows(k, ns, sensing, channel, lambdas)
-    _emit(rows, ROC_COLUMNS, cfg.get("out"), cfg["format"])
+    _emit_sweep(_analytic_sweep(k, ns, sensing, channel, lambdas), cfg.get("out"), cfg["format"])
     return EXIT_OK
 
 
@@ -355,21 +375,12 @@ def cmd_simulate(cfg: dict) -> int:
         field = "trials" if "trials" in str(err) else "seed"
         raise ConfigError(f"{field}: {err}") from err
     grid = run_grid(scenario, lambdas, ns, workers=workers)
-    base_rows = _analytic_rows(k, ns, sensing, channel, lambdas)
-    rows = []
-    index = 0
-    for ni in range(len(ns)):
-        for li in range(len(lambdas)):
-            row = dict(base_rows[index])
-            index += 1
-            sim = grid[li][ni]
-            row.update({
-                "qf_hat": float(sim.qf_hat), "qm_hat": float(sim.qm_hat),
-                "qf_stderr": sim.qf_stderr, "qm_stderr": sim.qm_stderr,
-                "trials_h0": sim.trials_h0, "trials_h1": sim.trials_h1,
-            })
-            rows.append(row)
-    _emit(rows, SIM_COLUMNS, cfg.get("out"), cfg["format"])
+    # grid is indexed [λ][n] and the rows run n outermost
+    sim_fields = [(float(sim.qf_hat), float(sim.qm_hat), sim.qf_stderr, sim.qm_stderr,
+                   sim.trials_h0, sim.trials_h1)
+                  for rule in zip(*grid) for sim in rule]
+    _emit_sweep(_analytic_sweep(k, ns, sensing, channel, lambdas), cfg.get("out"), cfg["format"],
+                sim_fields)
     return EXIT_OK
 
 
@@ -392,10 +403,7 @@ def cmd_optimal_n(cfg: dict) -> int:
         ("direct_n", result.direct_n),
         ("agree", result.agree),
         ("table_monotone", result.table.is_monotone),
-    ]
-    for n in sorted(result.table.entries):
-        lines.append((f"qm_star[{n}]", result.table.entries[n]))
-    lines += [
+        *((f"qm_star[{n}]", qm) for n, qm in sorted(result.table.entries.items())),
         ("achieved_lambda", result.achieved_lambda),
         ("achieved_qf", float(result.achieved_qf)),
         ("achieved_qm", float(result.achieved_qm)),
@@ -403,14 +411,11 @@ def cmd_optimal_n(cfg: dict) -> int:
     for key, value in lines:
         print(f"{key} = {_fmt(value)}")
     if cfg.get("out") is not None:
-        payload = {key: _json_value(value) for key, value in lines}
-        with open(cfg["out"], "w", encoding="utf-8", newline="") as fh:
-            if cfg["format"] == "json":
-                fh.write(json.dumps(payload, indent=2) + "\n")
-            else:
-                fh.write("key,value\n")
-                for key, value in lines:
-                    fh.write(f"{key},{_fmt(value)}\n")
+        if cfg["format"] == "csv":
+            text = _csv(["key", "value"], [f"{key},{_fmt(value)}" for key, value in lines])
+        else:
+            text = _json({key: _json_value(value) for key, value in lines})
+        _write(text, cfg["out"])
     return EXIT_OK
 
 

@@ -6,9 +6,10 @@ import math
 import subprocess
 import sys
 
+import numpy as np
 import pytest
 
-from coopsense.cli import ROC_COLUMNS, SIM_COLUMNS, main
+from coopsense.cli import _FIELDS, ROC_COLUMNS, SIM_COLUMNS, _build_parser, _fmt, _Sweep, main
 from coopsense.fusion import FusionConfig, asymptotic_qf, asymptotic_qm, fused_qf, fused_qm
 from coopsense.local_sensing import SensingParams, local_pd, local_pf
 from coopsense.mathx import Probability
@@ -92,7 +93,6 @@ class TestRoc:
 
     def test_or_rule_dominance_recoverable_from_file(self, tmp_path):
         # error-free reporting: the n=1 curve must win at matched miss levels
-        import numpy as np
         out = tmp_path / "fig2.csv"
         proc = run_cli("roc", "--k", "4", "--n", "1", "--n", "2", "--n", "3", "--n", "4",
                        "--samples-m", "6", "--snr-db", "20", "--perfect-report",
@@ -217,6 +217,69 @@ class TestSimulate:
         assert "seed" in proc.stderr
 
 
+K64_ALL_RULES = ["--k", "64", *[a for n in range(1, 65) for a in ("--n", str(n))],
+                 "--samples-m", "6", "--snr-db", "10", "--pf-grid", "1e-9:0.99:60"]
+PERFECT = ["--k", "4", "--samples-m", "6", "--snr-db", "20", "--perfect-report"]
+
+
+class TestGoldenBytes:
+    """sha256 of every output path, as written by the row-per-dict writer at commit 1b03617.
+
+    The K = 64 cases hold a qf that underflows to a printed 0 (perfect channel)
+    and rows with qf = 1 (noisy channel); the perfect-channel optimal-n case
+    holds infinite crossovers, which JSON writes as "inf".
+    """
+
+    GOLDEN = {
+        "roc-k64-noisy": (["roc", *K64_ALL_RULES, "--report-snr-db", "10"], {
+            "csv": "5810aab9a4c213f54320fbff552c4548a703bcae576e3214bbbc409c5f399566",
+            "json": "8c49a71859c1b11a9f5fefe0cefd4aedd27ea38c2a8f09e6e1738ea6aa010f75"}),
+        "roc-k64-perfect": (["roc", *K64_ALL_RULES, "--perfect-report"], {
+            "csv": "9b09cf99ab00d70c3c590f2147aa692f577d6b1c723e319a06cbe69ab161a519",
+            "json": "957b7231efd8d5a1da2709773e9b628752ee7755c6aa5d6f6bb5a39f3e47e28a"}),
+        "roc-lambda-grid": (["roc", *BASE, "--n", "1", "--n", "3", "--lambda-grid", "0:40:17"], {
+            "csv": "a7428186fc696febf0c87cf47bda16f859e3a25e2348de40a9a0f422f0dd26a3",
+            "json": "c613b077bca16b8dcb1b2848dbab5bd7663eeb4c18f57d161849118a1c3f8c1e"}),
+        "roc-lambda": (["roc", *PERFECT, "--n", "4", "--lambda", "0"], {
+            "csv": "6fc4172583432d87dc1f8d91f5cc25417bc816c4c4ee2ca5fdd22c75e8eecf9d",
+            "json": "d3e6b220deb928d913ad8592400acf8779992957ef5ecaa9874fb58bdb4fd3d4"}),
+        "analyze": (["analyze", *BASE, "--n", "2", "--lambda", "12"], {
+            "csv": "79c1ca34c40f154984d30ee0e9c50b8007ff8cf254347b6d9340198fe0b9cc06",
+            "json": "f0f0b7b2dd29285149f3f3a8e30d9a4caa218cbd4f419efcf466f7cc581419d1"}),
+        "optimal-n-noisy": (["optimal-n", *BASE, "--target-qm", "0.05"], {
+            "csv": "e2cdc1aedd16d7d0a1fc30b5c94ce0089d1d7586eb3b4b9c9f91ff4af2fc166c",
+            "json": "0b5694bcec46da77befc61394c99abe1aa66bab1570c7192ea70b8caebb8ae93"}),
+        "optimal-n-perfect": (["optimal-n", *PERFECT, "--target-qm", "0.01"], {
+            "csv": "3788311efb157c4ed66207f50ab4cb2b90e4efb048e05c020354be88c3435fbe",
+            "json": "aebf607c34c203938c9615fd7eee3af4de7fff37c8e03ba3327696d4c3c1a9bf"}),
+    }
+
+    @pytest.mark.parametrize("fmt", ["csv", "json"])
+    @pytest.mark.parametrize("name", sorted(GOLDEN))
+    def test_out_file_matches_golden_digest(self, tmp_path, name, fmt):
+        args, digests = self.GOLDEN[name]
+        out = tmp_path / f"out.{fmt}"
+        assert main([*args, "--format", fmt, "--out", str(out)]) == 0
+        assert hashlib.sha256(out.read_bytes()).hexdigest() == digests[fmt]
+
+    @pytest.mark.parametrize("name", ["roc-lambda-grid", "roc-lambda"])
+    def test_roc_stdout_matches_the_out_file(self, capsys, name):
+        args, digests = self.GOLDEN[name]
+        assert main(args) == 0
+        assert hashlib.sha256(capsys.readouterr().out.encode()).hexdigest() == digests["csv"]
+
+    def test_csv_lines_format_every_value_like_fmt(self):
+        # values the closed forms can print: exact 0 and 1, -0.0, subnormals, extremes, inf, nan
+        edge = [0.0, -0.0, 1.0, 5e-324, 2.2250738585072014e-308, 4.5e-307, 1e-300,
+                0.1, 1 / 3, 1 - 2**-53, 123456789012.5, 1.7976931348623157e308, math.inf, math.nan]
+        values = edge + [float(v) for v in np.random.default_rng(1).random(200) ** 40]
+        m = len(values)
+        points = [tuple(values[(i + j) % m] for j in range(4)) for i in range(m)]
+        rules = [(n, values[n:] + values[:n], values[::-1], values[n], values[-n]) for n in (1, 7, 64)]
+        sweep = _Sweep(points, rules)
+        assert sweep.csv_lines() == [",".join(map(_fmt, row)) for row in sweep.rows()]
+
+
 class TestOptimalN:
     def test_reports_selection_and_agreement(self):
         proc = run_cli("optimal-n", *BASE, "--target-qm", "0.05")
@@ -258,6 +321,12 @@ class TestConfigHandling:
         assert proc.returncode == 0
         rows = read_csv(out)
         assert {int(r["n"]) for r in rows} == {2}  # flag replaced the file's rule list
+
+    @pytest.mark.parametrize("command", ["analyze", "roc", "simulate", "optimal-n"])
+    def test_every_flag_is_a_config_field(self, command):
+        # the flag merge reads each config field from the argparse attribute of the same name
+        dests = set(vars(_build_parser().parse_args([command]))) - {"command", "config"}
+        assert dests <= set(_FIELDS)
 
     def test_unknown_config_key_is_named(self, tmp_path):
         cfg = tmp_path / "bad.cfg"
