@@ -14,6 +14,7 @@ boundary. Exit codes: 0 success, 2 configuration error, 3 output I/O error,
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import math
 import sys
@@ -23,7 +24,7 @@ from typing import NamedTuple, Optional, Sequence
 import numpy as np
 
 from .fusion import FusionConfig, _fused_qf, _fused_qm
-from .local_sensing import SensingParams, _local_pf, _local_pm, threshold_for_pf
+from .local_sensing import SensingParams, _local_pf, _local_pm, _threshold_for_pf
 from .mathx import db_to_linear
 from .montecarlo import SimScenario, run_grid
 from .reporting import ReportChannel, channel_from_snr_db, perfect_channel
@@ -41,7 +42,9 @@ class ConfigError(ValueError):
     """Invalid or missing run configuration; the message names the field."""
 
 
+@functools.cache
 def _build_parser() -> argparse.ArgumentParser:
+    """The command line parser, built on first use and shared by later ``main`` calls."""
     parser = argparse.ArgumentParser(
         prog="coopsense",
         description="Cooperative spectrum sensing analysis and simulation",
@@ -233,8 +236,7 @@ def _lambda_values(cfg: dict, samples_m: int) -> list[float]:
     lo, hi, count = _parse_grid(cfg["pf_grid"], "pf_grid")
     if not (0.0 < lo < 1.0 and 0.0 < hi < 1.0):
         raise ConfigError(f"pf_grid: probabilities must lie strictly inside (0, 1), got {cfg['pf_grid']!r}")
-    pf_values = [float(v) for v in np.geomspace(lo, hi, count)]
-    return sorted(threshold_for_pf(q, samples_m) for q in pf_values)
+    return sorted(_threshold_for_pf(samples_m, np.geomspace(lo, hi, count)).tolist())
 
 
 # ---------------------------------------------------------------------------

@@ -56,6 +56,11 @@ def _local_pf(samples_m: int, lam):
     return _sp.gammaincc(samples_m, np.asarray(lam, dtype=float) / 2.0)
 
 
+def _threshold_for_pf(samples_m: int, pf):
+    """Array kernel of :func:`threshold_for_pf`: the inverse of the chi-square(2M) tail."""
+    return 2.0 * _sp.gammainccinv(samples_m, pf)
+
+
 def _fade(samples_m: int, gamma: float, lam):
     """Fading-averaged part of the detection probability, shared by pd and pm (M >= 2)."""
     growth = ((1.0 + gamma) / gamma) ** (samples_m - 1)
@@ -112,4 +117,4 @@ def threshold_for_pf(target_pf: float, samples_m: int) -> float:
     q = float(target_pf)
     if not 0.0 < q < 1.0:
         raise ValueError(f"target_pf must lie strictly inside (0, 1), got {target_pf!r}")
-    return 2.0 * float(_sp.gammainccinv(samples_m, q))
+    return float(_threshold_for_pf(samples_m, q))

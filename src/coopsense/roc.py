@@ -11,12 +11,13 @@ a direct constrained minimization.
 """
 from __future__ import annotations
 
+import importlib.util
 import math
+import sys
 from dataclasses import dataclass, replace
 from typing import Dict, Optional, Sequence, Tuple
 
 import numpy as np
-from scipy import optimize
 from scipy import special as _sp
 
 from .fusion import FusionConfig, _fused_qf, _fused_qm
@@ -37,6 +38,23 @@ __all__ = [
     "crossover_table",
     "optimal_n",
 ]
+
+
+def _lazy_module(name: str):
+    """``name``, imported on first attribute access (the importlib LazyLoader recipe)."""
+    if name not in sys.modules:
+        spec = importlib.util.find_spec(name)
+        spec.loader = importlib.util.LazyLoader(spec.loader)
+        sys.modules[name] = importlib.util.module_from_spec(spec)
+        spec.loader.exec_module(sys.modules[name])
+    return sys.modules[name]
+
+
+# Only qm_star's brentq needs scipy.optimize, and importing it costs about a
+# third of the CLI's start-up, so commands that never solve a crossover skip it.
+# Python 3.11's LazyLoader is not thread-safe; qm_star never runs on the Monte
+# Carlo worker threads, so the first access is always single-threaded.
+optimize = _lazy_module("scipy.optimize")
 
 # Threshold inversions start at local false alarm 1e-9 and stop within these tolerances.
 _PF_SWEEP_LO = 1e-9

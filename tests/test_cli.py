@@ -366,3 +366,15 @@ class TestConfigHandling:
     def test_main_callable_in_process(self, capsys):
         assert main(["analyze", *BASE, "--n", "1", "--lambda", "12"]) == 0
         assert "qf" in capsys.readouterr().out
+
+    def test_repeated_main_calls_share_no_parsed_state(self, capsys):
+        # the parser is built once per process; no value may leak from one call into the next
+        assert _build_parser() is _build_parser()
+        assert main(["roc", *BASE, "--n", "1", "--n", "2", "--lambda", "12"]) == 0
+        assert {row.split(",")[0] for row in capsys.readouterr().out.splitlines()[1:]} == {"1", "2"}
+        for args in (["roc", *BASE, "--n", "3", "--lambda", "12"],
+                     ["analyze", *BASE, "--n", "4", "--lambda", "12"]):
+            assert main(args) == 0
+            assert capsys.readouterr().out == run_cli(*args).stdout
+        assert main(["analyze", *BASE, "--lambda", "12"]) == 2
+        assert capsys.readouterr().err == "config error: n: required but not given\n"

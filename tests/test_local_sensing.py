@@ -6,7 +6,8 @@ import pytest
 from scipy import integrate
 from scipy.stats import ncx2
 
-from coopsense.local_sensing import SensingParams, local_pd, local_pf, local_pm, threshold_for_pf
+from coopsense.local_sensing import (SensingParams, _threshold_for_pf, local_pd, local_pf, local_pm,
+                                     threshold_for_pf)
 
 # mpmath at 50 digits: literal finite-sum detection probability
 PD_ORACLE = [
@@ -153,6 +154,13 @@ class TestThresholdForPf:
         back = float(local_pf(params(m, lam, 1.0)))
         assert abs(back - q) <= 1e-10
         assert back == pytest.approx(q, rel=1e-9)
+
+    @pytest.mark.parametrize("m", [1, 6, 16])
+    def test_array_kernel_equals_the_scalar_function(self, m):
+        pf = np.geomspace(1e-12, 0.99, 241)
+        lams = _threshold_for_pf(m, pf)
+        assert lams.shape == pf.shape
+        assert all(lam == threshold_for_pf(q, m) for lam, q in zip(lams.tolist(), pf.tolist()))
 
     def test_rejects_endpoints(self):
         for bad in (0.0, 1.0, -0.2, 1.3, float("nan")):
