@@ -82,10 +82,14 @@ class PerfPoint:
             raise ValueError(f"kind must be 'analytical' or 'empirical', got {self.kind!r}")
 
 
+def _flip(p, pe):
+    """Probability that a received bit reads b when the radio sends b with probability p."""
+    return p * (1.0 - pe) + (1.0 - p) * pe
+
+
 def _fused_qf(k: int, n, pf, pe):
     """Array kernel of :func:`fused_qf`: Pr{Bin(K, one) >= n} = I_one(n, K-n+1) (DLMF 8.17.5)."""
-    one = pf * (1.0 - pe) + (1.0 - pf) * pe
-    return _sp.betainc(n, k - n + 1, one)
+    return _sp.betainc(n, k - n + 1, _flip(pf, pe))
 
 
 def _fused_qm(k: int, n, pm, pe):
@@ -94,8 +98,7 @@ def _fused_qm(k: int, n, pm, pe):
     The post-flip zero probability is formed directly, never as 1 - one, so
     tiny miss tails keep their relative accuracy.
     """
-    zero = pm * (1.0 - pe) + (1.0 - pm) * pe
-    return _sp.betainc(k - n + 1, n, zero)
+    return _sp.betainc(k - n + 1, n, _flip(pm, pe))
 
 
 def fused_qf(cfg: FusionConfig, pf, pe) -> Probability:

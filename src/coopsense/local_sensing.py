@@ -68,17 +68,30 @@ def _fade(samples_m: int, gamma: float, lam):
     return growth * np.exp(-lam / (2.0 + 2.0 * gamma)) * _sp.gammainc(samples_m - 1, scaled)
 
 
-def _local_pm(samples_m: int, gamma: float, lam):
-    """Array kernel of :func:`local_pm`, formed directly rather than as 1 - pd.
+def _local_pm_parts(samples_m: int, gamma: float, lam):
+    """Local miss at each threshold, its slope d pm / d lam, and the scale of its rounding error.
 
-    pd = Q(M-1, lam/2) + fade, so pm = P(M-1, lam/2) - fade; for M = 1 it is
-    1 - exp(-lam / (2 + 2*gamma)), evaluated with expm1.
+    pd = Q(M-1, lam/2) + fade, so pm = P(M-1, lam/2) - fade, formed directly
+    rather than as 1 - pd; for M = 1 it is 1 - exp(-lam / (2 + 2*gamma)),
+    evaluated with expm1. The slope is the H1 density of the statistic,
+    fade / (2 + 2*gamma): the derivatives of the two incomplete-gamma terms
+    cancel (Digham, Alouini & Simon, IEEE Trans. Commun. 55(1), 2007). The
+    scale is the larger term pm is formed from, P(M-1, lam/2), or pm itself
+    for M = 1.
     """
     lam = np.asarray(lam, dtype=float)
+    c = 2.0 + 2.0 * gamma
     if samples_m == 1:
-        return -np.expm1(-lam / (2.0 + 2.0 * gamma))
+        pm = -np.expm1(-lam / c)
+        return pm, np.exp(-lam / c) / c, pm
+    lower, fade = _sp.gammainc(samples_m - 1, lam / 2.0), _fade(samples_m, gamma, lam)
     # the two terms cancel to leading order at small lam; rounding may dip below 0
-    return np.maximum(_sp.gammainc(samples_m - 1, lam / 2.0) - _fade(samples_m, gamma, lam), 0.0)
+    return np.maximum(lower - fade, 0.0), fade / c, lower
+
+
+def _local_pm(samples_m: int, gamma: float, lam):
+    """Array kernel of :func:`local_pm` (see :func:`_local_pm_parts`)."""
+    return _local_pm_parts(samples_m, gamma, lam)[0]
 
 
 def local_pf(p: SensingParams) -> Probability:

@@ -18,7 +18,6 @@ from dataclasses import dataclass, replace
 from typing import Dict, Optional, Sequence, Tuple
 
 import numpy as np
-from scipy import special as _sp
 
 from .fusion import FusionConfig, _fused_qf, _fused_qm
 from .local_sensing import SensingParams, _local_pf, _local_pm
@@ -56,14 +55,15 @@ def _lazy_module(name: str):
 # Carlo worker threads, so the first access is always single-threaded.
 optimize = _lazy_module("scipy.optimize")
 
-# Threshold inversions start at local false alarm 1e-9 and stop within these tolerances.
-_PF_SWEEP_LO = 1e-9
-_LAMBDA_XTOL = 1e-13
-_LAMBDA_RTOL = 8.9e-16
 _CROSSOVER_SCAN_POINTS = 400
 # False-alarm differences below this are ties: the smaller (cheaper) rule wins.
 # Keeps the vanishing-error channel in the OR-rule regime, where the larger
 # rule's residual advantage is the sub-nano floor gap and of no practical value.
+# The tolerance is absolute: once both rules' false-alarm floors are below it,
+# the larger rule's lead where qf nears those floors never counts, so a
+# crossover is found only where its lead exceeds 1e-9 somewhere on the scan,
+# and otherwise the smaller rule keeps the whole band (NoCrossoverError with
+# dominant=n), even though the larger rule's qf is lower there.
 _QF_TIE_TOL = 1e-9
 
 
@@ -179,30 +179,12 @@ def _rule_point(k: int, n, samples_m: int, gamma: float, pe: float, lam):
 def _lambda_for_qm(k: int, n, samples_m: int, gamma: float, pe: float, target):
     """Thresholds at which rules n reach miss targets between their floors and loose limits.
 
-    Bisects every element until its own bracket is within the tolerances, so
-    an element's result does not depend on the other elements of the call.
+    Bit for bit those of a plain bisection (:mod:`coopsense._inversion`,
+    imported here on first use, so only commands that invert a miss load it).
     """
-    n, target = np.broadcast_arrays(n, np.asarray(target, dtype=float))
-    miss = lambda lam: _fused_qm(k, n, _local_pm(samples_m, gamma, lam), pe)
-    hi = np.full(target.shape, 2.0 * _sp.gammainccinv(samples_m, _PF_SWEEP_LO))
-    # Extend the brackets geometrically; the fused miss saturates exactly once
-    # the local tail probabilities underflow, so this always terminates.
-    for _ in range(200):
-        short = miss(hi) < target
-        if not short.any():
-            break
-        hi = np.where(short, 2.0 * hi, hi)
-    else:
-        raise RuntimeError("the fused miss did not reach its target within 200 threshold doublings")
-    lo = np.zeros_like(hi)
-    while True:
-        unsettled = hi - lo > _LAMBDA_XTOL + _LAMBDA_RTOL * hi
-        if not unsettled.any():
-            return hi
-        mid = np.where(unsettled, 0.5 * (lo + hi), hi)
-        below = miss(mid) < target
-        lo = np.where(unsettled & below, mid, lo)
-        hi = np.where(unsettled & ~below, mid, hi)
+    from . import _inversion
+
+    return _inversion.lambda_for_qm(k, n, samples_m, gamma, pe, target)
 
 
 def _achieved(k: int, ns, samples_m: int, gamma: float, pe: float, target: float):
@@ -255,11 +237,17 @@ def qm_star(fusion: FusionConfig, sensing: SensingParams, channel: ReportChannel
 
     Scans the miss range where both rules are feasible, comparing their fused
     false alarms at equal miss probability (each rule at its own threshold),
-    and root-finds the first sign change. Raises :class:`NoCrossoverError`
+    and root-finds the first sign change with brentq. The scan needs only the
+    signs of the gaps, which ``_inversion.gap_signs`` reads off certified threshold
+    windows; each brentq step inverts both rules exactly with
+    :func:`_lambda_for_qm`, so brentq walks the same path as it would over
+    plain bisections. Raises :class:`NoCrossoverError`
     when one rule dominates throughout, which includes the perfect-channel
     limit (smaller rule wins) and the fully scrambled pe = 0.5 channel, where
     the comparison is a tie and the smaller rule is preferred.
     """
+    from . import _inversion
+
     k, n = fusion.num_radios_k, fusion.vote_threshold_n
     if n >= k:
         raise ValueError(f"crossover needs vote thresholds n and n+1 within K={k}, got n={n}")
@@ -273,26 +261,25 @@ def qm_star(fusion: FusionConfig, sensing: SensingParams, channel: ReportChannel
     hi = sup - (sup - floor_b) * 1e-9
     pair = np.array([[n], [n + 1]])
 
-    def gaps(qs):
-        # qf of rule n+1 minus qf of rule n at each miss level, both rules inverted at once
-        qf = _fused_qf(k, pair, _local_pf(m, _lambda_for_qm(k, pair, m, g, pe, qs)), pe)
-        return qf[1] - qf[0]
+    def gap(q):
+        # qf of rule n+1 minus qf of rule n at miss level q, both rules inverted at once
+        qf = _fused_qf(k, pair, _local_pf(m, _lambda_for_qm(k, pair, m, g, pe, [q])), pe)
+        return (qf[1] - qf[0])[0]
 
     qs = np.geomspace(max(lo, 1e-300), hi, _CROSSOVER_SCAN_POINTS)
-    deltas = gaps(qs)
+    worse, better = _inversion.gap_signs(k, pair, m, g, pe, qs, _QF_TIE_TOL)
     # a crossover only counts once the larger rule's advantage clears the tie
     # tolerance; sub-tie dips (vanishing-error channels, underflowed floors)
     # leave the smaller rule dominant
-    advantaged = np.flatnonzero(deltas < -_QF_TIE_TOL)
+    advantaged = np.flatnonzero(better)
     if not advantaged.size:
         raise NoCrossoverError(n, dominant=n)
     first_adv = advantaged[0]
-    positives = np.flatnonzero(deltas[:first_adv] > 0.0)
+    positives = np.flatnonzero(worse[:first_adv])
     if not positives.size:
         raise NoCrossoverError(n, dominant=n + 1)  # ahead as soon as both rules exist
     bracket = (qs[positives[-1]], qs[first_adv])
-    root = optimize.brentq(lambda q: gaps(np.array([q]))[0], *bracket,
-                           xtol=1e-15, rtol=8.9e-16, maxiter=200)
+    root = optimize.brentq(gap, *bracket, xtol=1e-15, rtol=8.9e-16, maxiter=200)
     return Probability(root)
 
 

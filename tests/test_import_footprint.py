@@ -50,3 +50,9 @@ def test_an_already_imported_scipy_optimize_is_reused(first):
             "print(json.dumps(coopsense.roc.optimize is sys.modules['scipy.optimize']"
             " and type(coopsense.roc.optimize) is type(sys)))")
     assert run_python(code) is True
+
+
+def test_only_optimal_n_loads_the_threshold_solver(tmp_path):
+    script = SCRIPT.replace('"scipy.optimize._optimize"', '"coopsense._inversion"')
+    seen = run_python(script, str(tmp_path), json.dumps(COMMANDS), json.dumps(ARGS))
+    assert seen == {"before": False, "after": True, "same_brentq": True}
