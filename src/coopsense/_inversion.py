@@ -15,8 +15,10 @@ replayed, not replaced, in three steps:
 3. replay: steps outside (a, b) are decided by arithmetic, and only steps
    inside, where rounding can decide, evaluate the miss (:func:`replay`).
 
-``coopsense.roc`` imports this module on the first crossover or threshold
-solve, so commands that never invert a miss do not load it.
+The crossovers root-find the false-alarm gap with :func:`brentq`, a port of
+scipy's that runs many brackets in lockstep. ``coopsense.roc`` imports this
+module on the first crossover or threshold solve, so commands that never
+invert a miss do not load it.
 """
 from __future__ import annotations
 
@@ -246,14 +248,10 @@ def _bisection(hi: float, a: float, c: float, b: float):
     return hi
 
 
-def replay(k: int, n, samples_m: int, gamma: float, pe: float, target, a, c, b):
-    """Bisections of all elements in windows (a, c, b), run together: each round tests every pending
-    threshold in one call."""
-    hi = float(2.0 * _sp.gammainccinv(samples_m, _PF_SWEEP_LO))
-    n, target = n.ravel(), target.ravel()
-    runs = [_bisection(hi, *window) for window in zip(a.ravel().tolist(), c.ravel().tolist(), b.ravel().tolist())]
-    out = np.empty(len(runs))
-    pending, owners = [], []
+def _lockstep(runs, evaluate):
+    """Run generators like :func:`_bisection` together: each round passes every pending point to one
+    ``evaluate(owners, points)`` call and sends each generator its answers. Returns their results."""
+    out, pending, owners = [None] * len(runs), [], []
 
     def advance(i, answers):
         try:
@@ -268,12 +266,82 @@ def replay(k: int, n, samples_m: int, gamma: float, pe: float, target, a, c, b):
         advance(i, None)
     while pending:
         idx = np.repeat([i for i, _ in owners], [size for _, size in owners])
-        below = (_fused_qm(k, n[idx], _local_pm(samples_m, gamma, np.array(pending)), pe) < target[idx]).tolist()
+        answers = np.asarray(evaluate(idx, np.array(pending))).tolist()
         asked, pending, owners, start = owners, [], [], 0
         for i, size in asked:
-            advance(i, below[start:start + size])
+            advance(i, answers[start:start + size])
             start += size
-    return out.reshape(a.shape)
+    return out
+
+
+def replay(k: int, n, samples_m: int, gamma: float, pe: float, target, a, c, b):
+    """Bisections of all elements in windows (a, c, b), run together: each round tests every pending
+    threshold in one call."""
+    hi = float(2.0 * _sp.gammainccinv(samples_m, _PF_SWEEP_LO))
+    n, target = n.ravel(), target.ravel()
+    runs = [_bisection(hi, *window) for window in zip(a.ravel().tolist(), c.ravel().tolist(), b.ravel().tolist())]
+    below = lambda idx, lam: _fused_qm(k, n[idx], _local_pm(samples_m, gamma, lam), pe) < target[idx]
+    return np.array(_lockstep(runs, below), dtype=float).reshape(a.shape)
+
+
+def _checked(fs):
+    """Function values fs, unless one is NaN (scipy's brentq raises on those too)."""
+    if any(math.isnan(f) for f in fs):
+        raise ValueError("the function value is NaN; solver cannot converge")
+    return fs
+
+
+def _brent(xpre: float, xcur: float, xtol: float, rtol: float, maxiter: int):
+    """scipy's ``brentq`` (``brentq.c``) on the bracket [xpre, xcur], as a generator like :func:`_bisection`.
+
+    The same float operations in the same order, so the same root bits after
+    the same evaluations; a NaN value raises ValueError, as scipy's does.
+    """
+    fpre, fcur = _checked((yield [xpre, xcur]))
+    if fpre == 0:
+        return xpre
+    if fcur == 0:
+        return xcur
+    if math.copysign(1.0, fpre) == math.copysign(1.0, fcur):
+        raise ValueError("f(a) and f(b) must have different signs")
+    xblk = fblk = spre = scur = 0.0
+    for _ in range(maxiter):
+        if fpre != 0 and fcur != 0 and math.copysign(1.0, fpre) != math.copysign(1.0, fcur):
+            xblk, fblk = xpre, fpre
+            spre = scur = xcur - xpre
+        if abs(fblk) < abs(fcur):
+            xpre, xcur, xblk = xcur, xblk, xcur
+            fpre, fcur, fblk = fcur, fblk, fcur
+        delta = (xtol + rtol * abs(xcur)) / 2
+        sbis = (xblk - xcur) / 2
+        if fcur == 0 or abs(sbis) < delta:
+            return xcur
+        stry = math.nan  # fails the acceptance test below, so the step bisects
+        if abs(spre) > delta and abs(fcur) < abs(fpre):
+            try:
+                if xpre == xblk:  # interpolate
+                    stry = -fcur * (xcur - xpre) / (fcur - fpre)
+                else:  # extrapolate
+                    dpre = (fpre - fcur) / (xpre - xcur)
+                    dblk = (fblk - fcur) / (xblk - xcur)
+                    stry = -fcur * (fblk * dblk - fpre * dpre) / (dblk * dpre * (fblk - fpre))
+            except ZeroDivisionError:  # C's step is then inf or nan, which bisects
+                pass
+        limit = 3 * abs(sbis) - delta
+        if 2 * abs(stry) < (abs(spre) if abs(spre) < limit else limit):  # a good short step
+            spre, scur = scur, stry
+        else:
+            spre = scur = sbis
+        xpre, fpre = xcur, fcur
+        xcur += scur if abs(scur) > delta else (delta if sbis > 0 else -delta)
+        fcur, = _checked((yield [xcur]))
+    raise RuntimeError(f"Failed to converge after {maxiter} iterations, value is {xcur:f}")
+
+
+def brentq(evaluate, brackets, xtol: float, rtol: float, maxiter: int) -> list:
+    """Roots of functions f_i in brackets (a_i, b_i), each bit for bit what ``scipy.optimize.brentq`` finds;
+    the Brent steps run in lockstep, and ``evaluate(owners, xs)`` returns every pending f_owner(x) at once."""
+    return _lockstep([_brent(a, b, xtol, rtol, maxiter) for a, b in brackets], evaluate)
 
 
 def lambda_for_qm(k: int, n, samples_m: int, gamma: float, pe: float, target):

@@ -7,7 +7,10 @@ fused error probabilities, the floors move in opposite directions with n, and
 consecutive rules' ROC curves cross: above some miss level the larger rule
 wins. The selection rule here locates those crossovers and picks the vote
 threshold from the target miss probability, then double-checks itself against
-a direct constrained minimization.
+a direct constrained minimization. A crossover table is one solve over all
+rule pairs: shared gap-sign scans, then Brent steps run in lockstep by
+:mod:`coopsense._inversion`, bit for bit scipy's ``brentq`` but without
+importing ``scipy.optimize``.
 """
 from __future__ import annotations
 
@@ -40,7 +43,10 @@ __all__ = [
 
 
 def _lazy_module(name: str):
-    """``name``, imported on first attribute access (the importlib LazyLoader recipe)."""
+    """``name``, imported on first attribute access (the importlib LazyLoader recipe).
+
+    Only ``optimize`` below uses it, and it goes with ``optimize``.
+    """
     if name not in sys.modules:
         spec = importlib.util.find_spec(name)
         spec.loader = importlib.util.LazyLoader(spec.loader)
@@ -49,13 +55,16 @@ def _lazy_module(name: str):
     return sys.modules[name]
 
 
-# Only qm_star's brentq needs scipy.optimize, and importing it costs about a
-# third of the CLI's start-up, so commands that never solve a crossover skip it.
-# Python 3.11's LazyLoader is not thread-safe; qm_star never runs on the Monte
-# Carlo worker threads, so the first access is always single-threaded.
+# No program path uses scipy.optimize: the crossovers run a port of its brentq
+# (coopsense._inversion.brentq). The lazy binding stays only because the
+# benchmark's tracer patches roc.optimize.brentq; ROADMAP item 1 removes it.
+# Nothing touches its attributes, so no command imports scipy.optimize.
 optimize = _lazy_module("scipy.optimize")
 
 _CROSSOVER_SCAN_POINTS = 400
+# Rule pairs per gap-sign scan call: bounds the scan's arrays for any K, and
+# 16 pairs (6400 miss levels, 12 800 thresholds) cover every benchmarked table.
+_SCAN_PAIRS = 16
 # False-alarm differences below this are ties: the smaller (cheaper) rule wins.
 # Keeps the vanishing-error channel in the OR-rule regime, where the larger
 # rule's residual advantage is the sub-nano floor gap and of no practical value.
@@ -232,70 +241,86 @@ def qf_at_qm(curve: RocCurve, qm: float) -> float:
     return float(np.interp(qm, qms, qfs))
 
 
+def _crossovers(k: int, ns, samples_m: int, gamma: float, pe: float):
+    """Crossover table entries of the rule pairs (n, n+1) for n in ns, and each pair's dominant rule.
+
+    Per pair, it scans the miss range where both rules are feasible, comparing
+    their fused false alarms at equal miss probability (each rule at its own
+    threshold), and root-finds the first sign change with Brent's method. The
+    scans of all pairs share :func:`_inversion.gap_signs` calls of at most
+    _SCAN_PAIRS pairs, which read only the gaps' signs; the Brent solves of
+    all pairs run in lockstep (:func:`_inversion.brentq`), and each step
+    inverts both rules exactly with :func:`_lambda_for_qm`. dominant is 0
+    where the rules cross and the entry is the crossing; where rule n
+    dominates the entry is inf, and where rule n+1 does it is n+1's floor.
+    """
+    from . import _inversion
+
+    m, g, points = samples_m, gamma, _CROSSOVER_SCAN_POINTS
+    floor_b, sup = _fused_qm(k, ns + 1, 0.0, pe), _fused_qm(k, ns, 1.0, pe)  # rule n saturates first
+    live = np.flatnonzero(floor_b < sup)
+    dominant = np.where(floor_b < sup, 0, ns)
+    lo, hi = floor_b + (sup - floor_b) * 1e-9, sup - (sup - floor_b) * 1e-9
+    qs = np.array([np.geomspace(max(lo[p], 1e-300), hi[p], points) for p in live.tolist()]).reshape(-1, points)
+    worse, better = np.empty(qs.shape, bool), np.empty(qs.shape, bool)
+    for start in range(0, live.size, _SCAN_PAIRS):
+        part = slice(start, start + _SCAN_PAIRS)
+        n = np.repeat(ns[live[part]], points)
+        signs = _inversion.gap_signs(k, np.array([n, n + 1]), m, g, pe, qs[part].ravel(), _QF_TIE_TOL)
+        worse[part], better[part] = (v.reshape(-1, points) for v in signs)
+    brackets = []
+    for i, p in enumerate(live.tolist()):
+        # a crossover only counts once the larger rule's advantage clears the
+        # tie tolerance; sub-tie dips (vanishing-error channels, underflowed
+        # floors) leave the smaller rule dominant
+        advantaged = np.flatnonzero(better[i])
+        if not advantaged.size:
+            dominant[p] = ns[p]
+            continue
+        positives = np.flatnonzero(worse[i, :advantaged[0]])
+        if not positives.size:
+            dominant[p] = ns[p] + 1  # ahead as soon as both rules exist
+            continue
+        brackets.append((float(qs[i, positives[-1]]), float(qs[i, advantaged[0]])))
+    cross = np.flatnonzero(dominant == 0)
+
+    def gap(owners, q):
+        # qf of rules n+1 minus qf of rules n at miss levels q, both rules inverted at once
+        n = ns[cross[owners]]
+        pair = np.array([n, n + 1])
+        qf = _fused_qf(k, pair, _local_pf(m, _lambda_for_qm(k, pair, m, g, pe, q)), pe)
+        return qf[1] - qf[0]
+
+    entries = np.where(dominant == ns, math.inf, floor_b)
+    entries[cross] = _inversion.brentq(gap, brackets, xtol=1e-15, rtol=8.9e-16, maxiter=200)
+    return entries, dominant
+
+
 def qm_star(fusion: FusionConfig, sensing: SensingParams, channel: ReportChannel) -> Probability:
     """Miss level at which rules n and n+1 exchange superiority.
 
-    Scans the miss range where both rules are feasible, comparing their fused
-    false alarms at equal miss probability (each rule at its own threshold),
-    and root-finds the first sign change with brentq. The scan needs only the
-    signs of the gaps, which ``_inversion.gap_signs`` reads off certified threshold
-    windows; each brentq step inverts both rules exactly with
-    :func:`_lambda_for_qm`, so brentq walks the same path as it would over
-    plain bisections. Raises :class:`NoCrossoverError`
+    The scan and Brent solve of :func:`_crossovers` for this one pair, whose
+    root is bit for bit what ``scipy.optimize.brentq`` finds over plain
+    bisections of both rules' thresholds. Raises :class:`NoCrossoverError`
     when one rule dominates throughout, which includes the perfect-channel
     limit (smaller rule wins) and the fully scrambled pe = 0.5 channel, where
     the comparison is a tie and the smaller rule is preferred.
     """
-    from . import _inversion
-
     k, n = fusion.num_radios_k, fusion.vote_threshold_n
     if n >= k:
         raise ValueError(f"crossover needs vote thresholds n and n+1 within K={k}, got n={n}")
-    m, g, pe = sensing.samples_m, sensing.avg_snr_gamma, float(channel.pe)
-
-    floor_b = float(_fused_qm(k, n + 1, 0.0, pe))
-    sup = float(_fused_qm(k, n, 1.0, pe))  # rule n saturates first (limit grows with n)
-    if not floor_b < sup:
-        raise NoCrossoverError(n, dominant=n)
-    lo = floor_b + (sup - floor_b) * 1e-9
-    hi = sup - (sup - floor_b) * 1e-9
-    pair = np.array([[n], [n + 1]])
-
-    def gap(q):
-        # qf of rule n+1 minus qf of rule n at miss level q, both rules inverted at once
-        qf = _fused_qf(k, pair, _local_pf(m, _lambda_for_qm(k, pair, m, g, pe, [q])), pe)
-        return (qf[1] - qf[0])[0]
-
-    qs = np.geomspace(max(lo, 1e-300), hi, _CROSSOVER_SCAN_POINTS)
-    worse, better = _inversion.gap_signs(k, pair, m, g, pe, qs, _QF_TIE_TOL)
-    # a crossover only counts once the larger rule's advantage clears the tie
-    # tolerance; sub-tie dips (vanishing-error channels, underflowed floors)
-    # leave the smaller rule dominant
-    advantaged = np.flatnonzero(better)
-    if not advantaged.size:
-        raise NoCrossoverError(n, dominant=n)
-    first_adv = advantaged[0]
-    positives = np.flatnonzero(worse[:first_adv])
-    if not positives.size:
-        raise NoCrossoverError(n, dominant=n + 1)  # ahead as soon as both rules exist
-    bracket = (qs[positives[-1]], qs[first_adv])
-    root = optimize.brentq(gap, *bracket, xtol=1e-15, rtol=8.9e-16, maxiter=200)
-    return Probability(root)
+    entries, dominant = _crossovers(k, np.array([n]), sensing.samples_m, sensing.avg_snr_gamma, float(channel.pe))
+    if dominant[0]:
+        raise NoCrossoverError(n, dominant=int(dominant[0]))
+    return Probability(float(entries[0]))
 
 
 def crossover_table(num_radios_k: int, sensing: SensingParams,
                     channel: ReportChannel) -> CrossoverTable:
-    """Crossover miss levels for every consecutive rule pair 1..K-1."""
-    entries: Dict[int, float] = {}
-    pe = float(channel.pe)
-    for n in range(1, num_radios_k):
-        try:
-            entries[n] = float(qm_star(FusionConfig(num_radios_k=num_radios_k, vote_threshold_n=n),
-                                       sensing, channel))
-        except NoCrossoverError as err:
-            # Rule n+1 wins as soon as it is feasible at all.
-            entries[n] = math.inf if err.dominant == n else float(_fused_qm(num_radios_k, n + 1, 0.0, pe))
-    return CrossoverTable(num_radios_k=num_radios_k, entries=entries)
+    """Crossover miss levels for every consecutive rule pair 1..K-1, from one :func:`_crossovers` solve."""
+    ns = np.arange(1, num_radios_k)
+    entries, _ = _crossovers(num_radios_k, ns, sensing.samples_m, sensing.avg_snr_gamma, float(channel.pe))
+    return CrossoverTable(num_radios_k=num_radios_k, entries=dict(zip(ns.tolist(), entries.tolist())))
 
 
 def _direct_search(k: int, samples_m: int, gamma: float, pe: float,

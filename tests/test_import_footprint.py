@@ -1,4 +1,4 @@
-"""Start-up footprint: scipy.optimize loads only when a crossover is solved."""
+"""Start-up footprint: no command loads scipy.optimize, and only optimal-n loads the threshold solver."""
 import json
 import subprocess
 import sys
@@ -17,14 +17,14 @@ COMMANDS = [
 SCRIPT = """
 import json, sys
 import coopsense.cli as cli
-out = sys.argv[1]
+out, module = sys.argv[1], sys.argv[4]
 seen = {}
 for i, argv in enumerate(json.loads(sys.argv[2])):
     assert cli.main([*argv, "--out", f"{out}/{i}.csv"]) == 0
-seen["before"] = "scipy.optimize._optimize" in sys.modules
+seen["before"] = module in sys.modules
 assert cli.main(["optimal-n", *json.loads(sys.argv[3]), "--target-qm", "0.1",
                  "--out", f"{out}/n.csv"]) == 0
-seen["after"] = "scipy.optimize._optimize" in sys.modules
+seen["after"] = module in sys.modules
 import coopsense.roc
 import scipy.optimize
 seen["same_brentq"] = coopsense.roc.optimize.brentq is scipy.optimize.brentq
@@ -39,9 +39,10 @@ def run_python(code, *args):
     return json.loads(proc.stdout.splitlines()[-1])
 
 
-def test_only_optimal_n_loads_scipy_optimize(tmp_path):
-    seen = run_python(SCRIPT, str(tmp_path), json.dumps(COMMANDS), json.dumps(ARGS))
-    assert seen == {"before": False, "after": True, "same_brentq": True}
+def test_no_command_loads_scipy_optimize(tmp_path):
+    # the crossovers run coopsense._inversion.brentq; roc.optimize stays a lazy, untouched binding
+    seen = run_python(SCRIPT, str(tmp_path), json.dumps(COMMANDS), json.dumps(ARGS), "scipy.optimize._optimize")
+    assert seen == {"before": False, "after": False, "same_brentq": True}
 
 
 @pytest.mark.parametrize("first", ["scipy.optimize", "scipy.stats"])
@@ -53,6 +54,5 @@ def test_an_already_imported_scipy_optimize_is_reused(first):
 
 
 def test_only_optimal_n_loads_the_threshold_solver(tmp_path):
-    script = SCRIPT.replace('"scipy.optimize._optimize"', '"coopsense._inversion"')
-    seen = run_python(script, str(tmp_path), json.dumps(COMMANDS), json.dumps(ARGS))
+    seen = run_python(SCRIPT, str(tmp_path), json.dumps(COMMANDS), json.dumps(ARGS), "coopsense._inversion")
     assert seen == {"before": False, "after": True, "same_brentq": True}
