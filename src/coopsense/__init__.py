@@ -17,15 +17,9 @@ from .fusion import (
     fused_qm,
 )
 from .local_sensing import SensingParams, local_pd, local_pf, local_pm, threshold_for_pf
-from .mathx import Probability, db_to_linear, gaussian_q, log_binomial, reg_upper_incomplete_gamma
+from .mathx import Probability, db_to_linear, gaussian_q
 from .montecarlo import SimResult, SimScenario, run_grid, run_sim
-from .reporting import (
-    ReportChannel,
-    channel_from_snr_db,
-    error_probability,
-    flip_composition,
-    perfect_channel,
-)
+from .reporting import ReportChannel, channel_from_snr_db, perfect_channel
 from .roc import (
     CrossoverTable,
     InfeasibleTargetError,
@@ -55,9 +49,7 @@ __all__ = [
     "OptimalRule",
     "NoCrossoverError",
     "InfeasibleTargetError",
-    "reg_upper_incomplete_gamma",
     "gaussian_q",
-    "log_binomial",
     "db_to_linear",
     "local_pf",
     "local_pd",
@@ -65,8 +57,6 @@ __all__ = [
     "threshold_for_pf",
     "perfect_channel",
     "channel_from_snr_db",
-    "error_probability",
-    "flip_composition",
     "fused_qf",
     "fused_qm",
     "asymptotic_qf",

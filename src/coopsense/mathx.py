@@ -1,4 +1,4 @@
-"""Scalar special functions shared by every closed-form expression.
+"""The probability type and the scalar helpers shared by every layer.
 
 All functions here are pure and stateless, so they are safe for unrestricted
 concurrent use.
@@ -7,15 +7,11 @@ from __future__ import annotations
 
 import math
 
-from scipy import special as _sp
-
 __all__ = [
     "Probability",
     "as_probability",
     "db_to_linear",
-    "reg_upper_incomplete_gamma",
     "gaussian_q",
-    "log_binomial",
 ]
 
 
@@ -51,19 +47,6 @@ def db_to_linear(db: float) -> float:
     return 10.0 ** (db / 10.0)
 
 
-def reg_upper_incomplete_gamma(a: float, x: float) -> Probability:
-    """Regularized upper incomplete gamma function Gamma(a, x) / Gamma(a).
-
-    Monotone nonincreasing in x, equal to 1 at x = 0. Relative accuracy is
-    better than 1e-12 over a <= 50, x <= 500.
-    """
-    if not a > 0:
-        raise ValueError(f"shape parameter must be > 0, got {a!r}")
-    if not x >= 0:
-        raise ValueError(f"argument must be >= 0, got {x!r}")
-    return Probability(_sp.gammaincc(a, x))
-
-
 def gaussian_q(x: float) -> Probability:
     """Upper tail of the standard normal distribution, Pr{N(0,1) > x}.
 
@@ -72,17 +55,3 @@ def gaussian_q(x: float) -> Probability:
     """
     return Probability(0.5 * math.erfc(x / math.sqrt(2.0)))
 
-
-def log_binomial(k_total: int, i: int) -> float:
-    """Natural log of the binomial coefficient C(k_total, i).
-
-    Computed from log-gamma differences so very large coefficients never
-    overflow; exact 0.0 at the endpoints.
-    """
-    if not (isinstance(k_total, int) and isinstance(i, int)):
-        raise ValueError("log_binomial expects integer arguments")
-    if i < 0 or k_total < 0 or i > k_total:
-        raise ValueError(f"need 0 <= i <= k_total, got i={i}, k_total={k_total}")
-    if i == 0 or i == k_total:
-        return 0.0
-    return math.lgamma(k_total + 1) - math.lgamma(i + 1) - math.lgamma(k_total - i + 1)

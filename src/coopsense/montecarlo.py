@@ -15,7 +15,12 @@ radio. Chunk tallies are plain integers, so the reduction is exact and
 independent of how many workers executed the chunks. Sweeps over thresholds
 and vote rules reuse the same draws (common random numbers): thresholds only
 enter at the comparison stage. At most 2*workers chunks are in flight at
-once, so memory does not grow with the number of trials.
+once, and each radio's 2M sensing samples per trial are drawn into one
+fixed-size block of rows at a time (``_BLOCK_VALUES`` normals), so the
+working set of a chunk is bounded independent of both the number of trials
+and M. Blocking keeps every bit: a Generator fills its output in order, so
+consecutive blocks hold exactly the draws of one whole-chunk call, and the
+energy statistic reduces each trial's row on its own.
 
 Tallies by counting. A radio decides 1 at threshold lambda when its statistic
 t >= lambda; a tie reads as 1. Over the L strictly increasing thresholds its
@@ -51,10 +56,12 @@ __all__ = [
     "SimResult",
     "run_sim",
     "run_grid",
-    "sample_energy_statistic",
 ]
 
 CHUNK_TRIALS = 1 << 14
+# Sensing normals per block: each radio draws the 2M samples of
+# max(1, _BLOCK_VALUES // (2M)) trials at a time.
+_BLOCK_VALUES = 1 << 16
 
 # Stream ids inside one chunk. Radio i owns ids _STREAM_BASE + 3*i + offset.
 _STREAM_HYPOTHESIS = 0
@@ -131,6 +138,21 @@ def _energy_statistic(z: np.ndarray, amp: np.ndarray) -> np.ndarray:
     return ((x + amp[:, None]) ** 2).sum(axis=1) + (y * y).sum(axis=1)
 
 
+def _sensed_energy(rng: np.random.Generator, amp: np.ndarray, block: np.ndarray) -> np.ndarray:
+    """The energy statistic of every trial, its 2M normals drawn into ``block`` one block of rows at a time.
+
+    A Generator fills its output in order, so the blocks hold exactly the
+    draws of one ``standard_normal((len(amp), 2M))`` call; each row reduces
+    on its own, so the statistic is bit-identical too.
+    """
+    t = np.empty(len(amp))
+    for start in range(0, len(amp), len(block)):
+        z = block[:len(amp) - start]
+        rng.standard_normal(out=z)
+        t[start:start + len(z)] = _energy_statistic(z, amp[start:start + len(z)])
+    return t
+
+
 def _above(hist: np.ndarray) -> np.ndarray:
     """From a histogram over ranks 0..L, the count of ranks > li for li in 0..L-1."""
     return hist[..., :0:-1].cumsum(axis=-1)[..., ::-1]
@@ -200,14 +222,16 @@ def _chunk_tallies(scenario: SimScenario, lambdas: Sequence[float], n_values: Se
     sigma = math.sqrt(scenario.channel.noise_var_sigma2)
     seed = scenario.seed
     active = _rng(seed, chunk_index, _STREAM_HYPOTHESIS).random(count) < 0.5
+    block = np.empty((min(count, max(1, _BLOCK_VALUES // (2 * m))), 2 * m))
 
     def radios():
         for radio in range(scenario.fusion.num_radios_k):
             base = _STREAM_BASE + 3 * radio
             snr = _rng(seed, chunk_index, base + _OFFSET_SNR).exponential(gbar, count)
-            z = _rng(seed, chunk_index, base + _OFFSET_SENSE).standard_normal((count, 2 * m))
+            amp = np.where(active, np.sqrt(2.0 * snr / m), 0.0)
+            t = _sensed_energy(_rng(seed, chunk_index, base + _OFFSET_SENSE), amp, block)
             w = _rng(seed, chunk_index, base + _OFFSET_REPORT).standard_normal(count) * sigma
-            yield _energy_statistic(z, np.where(active, np.sqrt(2.0 * snr / m), 0.0)), w
+            yield t, w
 
     return _tallies(radios(), active, lambdas, n_values)
 
@@ -299,21 +323,3 @@ def run_sim(scenario: SimScenario, workers: int = 1) -> SimResult:
                     [scenario.fusion.vote_threshold_n], workers=workers)
     return grid[0][0]
 
-
-def sample_energy_statistic(sensing: SensingParams, occupied: bool, trials: int,
-                            seed: int) -> np.ndarray:
-    """Draw raw energy statistics for one radio, for distributional checks.
-
-    Uses the same sample-level model as the full simulation: chi-square(2M)
-    when the band is idle, exponentially mixed noncentral chi-square when it
-    is occupied.
-    """
-    rng = np.random.default_rng(np.random.SeedSequence(seed))
-    m = sensing.samples_m
-    z = rng.standard_normal((trials, 2 * m))
-    if occupied:
-        snr = rng.exponential(sensing.avg_snr_gamma, trials)
-        amp = np.sqrt(2.0 * snr / m)
-    else:
-        amp = np.zeros(trials)
-    return _energy_statistic(z, amp)

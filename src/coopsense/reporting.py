@@ -11,14 +11,12 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .mathx import Probability, as_probability, db_to_linear, gaussian_q
+from .mathx import Probability, db_to_linear, gaussian_q
 
 __all__ = [
     "ReportChannel",
     "perfect_channel",
     "channel_from_snr_db",
-    "error_probability",
-    "flip_composition",
 ]
 
 
@@ -57,18 +55,3 @@ def channel_from_snr_db(snr_r_db: float) -> ReportChannel:
         raise ValueError(f"snr_r_db must be finite, got {snr_r_db!r}")
     return ReportChannel(noise_var_sigma2=db_to_linear(-float(snr_r_db)))
 
-
-def error_probability(ch: ReportChannel) -> Probability:
-    """Probability that one reported bit is flipped by the link."""
-    return ch.pe
-
-
-def flip_composition(p, pe) -> Probability:
-    """Probability of receiving a 1 when the radio asserts 1 with probability p.
-
-    Affine in p with slope 1 - 2*pe, so repeated application contracts toward
-    the uninformative fixed point 0.5.
-    """
-    p = Probability(p)
-    pe = Probability(pe)
-    return as_probability(p * (1.0 - pe) + (1.0 - p) * pe)

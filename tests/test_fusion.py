@@ -13,7 +13,6 @@ from coopsense.fusion import (
     fused_qf,
     fused_qm,
 )
-from coopsense.reporting import flip_composition
 
 P_GRID = [0.0, 0.1, 0.5, 0.9, 1.0]
 PE_GRID = [0.0, 0.05, 0.3, 0.5]
@@ -160,7 +159,7 @@ class TestReductions:
         for k in (1, 4, 7):
             for pf in (0.0, 0.1, 0.6):
                 for pe in (0.0, 0.05, 0.3):
-                    tilde = float(flip_composition(pf, pe))
+                    tilde = pf * (1.0 - pe) + (1.0 - pf) * pe
                     direct = 1.0 - (1.0 - tilde) ** k
                     assert float(fused_qf(cfg(k, 1), pf, pe)) == pytest.approx(direct, abs=1e-12)
 

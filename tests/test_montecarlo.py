@@ -1,5 +1,6 @@
 """End-to-end chain simulation: determinism, distributional sanity, closed-form agreement."""
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -7,7 +8,7 @@ import pytest
 from coopsense.fusion import FusionConfig, fused_qf, fused_qm
 from coopsense.local_sensing import SensingParams, local_pf, local_pm
 import coopsense.montecarlo as mc
-from coopsense.montecarlo import SimScenario, run_grid, run_sim, sample_energy_statistic
+from coopsense.montecarlo import SimScenario, run_grid, run_sim
 from coopsense.reporting import channel_from_snr_db, perfect_channel
 
 
@@ -20,6 +21,12 @@ def scenario(k=4, n=2, m=6, lam=12.0, gbar=100.0, snr_r_db=10.0, trials=100_000,
         trials=trials,
         seed=seed,
     )
+
+
+def idle_energy_statistic(m, trials, seed):
+    """Raw energy statistics of one radio on an idle band, chi-square(2M), for distributional checks."""
+    z = np.random.default_rng(np.random.SeedSequence(seed)).standard_normal((trials, 2 * m))
+    return mc._energy_statistic(z, np.zeros(trials))
 
 
 def within_4se(estimate, truth, stderr):
@@ -103,10 +110,7 @@ class TestDistributionalSanity:
     def test_idle_statistic_is_chi_square_2m(self):
         m = 6
         n_samples = 400_000
-        t = sample_energy_statistic(
-            SensingParams(samples_m=m, threshold_lambda=0.0, avg_snr_gamma=1.0),
-            occupied=False, trials=n_samples, seed=77,
-        )
+        t = idle_energy_statistic(m, n_samples, seed=77)
         dof = 2 * m
         mean_se = math.sqrt(2.0 * dof / n_samples)
         assert abs(float(t.mean()) - dof) <= 4.0 * mean_se
@@ -341,3 +345,55 @@ class TestStreaming:
         assert _SerialPool.submitted == 41
         assert _SerialPool.peak == 2 * 3
         assert result == run_grid(s, [1.0, 4.0], [1, 2], workers=1)
+
+
+class TestBlocking:
+    """Drawing the sensing samples a block of rows at a time changes no bit."""
+
+    @pytest.mark.parametrize("m", [1, 2, 3, 7, 16, 33])
+    @pytest.mark.parametrize("count,rows", [(1, 1), (5, 1), (64, 7), (100, 100), (100, 250), (4099, 512)])
+    def test_blocked_draws_equal_one_shot_draws(self, monkeypatch, m, count, rows):
+        blocks = []
+        energy = mc._energy_statistic
+
+        def recording(z, amp):
+            blocks.append(z.copy())
+            return energy(z, amp)
+
+        monkeypatch.setattr(mc, "_energy_statistic", recording)
+        amp = np.random.default_rng(m).uniform(0.0, 3.0, count)
+        t = mc._sensed_energy(mc._rng(7, 2, 5), amp, np.empty((min(rows, count), 2 * m)))
+        z = mc._rng(7, 2, 5).standard_normal((count, 2 * m))
+        assert [len(b) for b in blocks] == [min(rows, count - s) for s in range(0, count, rows)]
+        assert np.array_equal(np.concatenate(blocks), z)
+        assert np.array_equal(t, energy(z, amp))
+
+    @pytest.mark.parametrize("m", [1, 16])
+    @pytest.mark.parametrize("trials", [1, mc.CHUNK_TRIALS + 77])
+    @pytest.mark.parametrize("block_values", [
+        1,          # below 2M: one row per block
+        1000,       # 500 and 31 rows, neither divides CHUNK_TRIALS
+        1 << 30,    # more rows than a chunk holds: one block per chunk
+    ])
+    def test_grid_equals_the_default_blocking(self, monkeypatch, m, trials, block_values):
+        s = scenario(k=2, n=1, m=m, lam=2.0 * m, trials=trials, seed=47)
+        lambdas, n_values = [1.5 * m, 2.0 * m, 3.0 * m], [1, 2]
+        default = run_grid(s, lambdas, n_values)
+        monkeypatch.setattr(mc, "_BLOCK_VALUES", block_values)
+        assert run_grid(s, lambdas, n_values) == default
+
+
+class TestMemoryBound:
+    def test_chunk_working_set_does_not_grow_with_m(self):
+        m, count = 2048, 2048
+        bound = 4 << 20
+        one_shot = count * 2 * m * 8      # bytes of the whole (count, 2M) sample matrix
+        assert one_shot > 10 * bound
+        s = scenario(k=1, n=1, m=m, lam=2.0 * m, trials=count, seed=43)
+        tracemalloc.start()
+        try:
+            mc._chunk_tallies(s, [2.0 * m], [1], 0, count)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < bound

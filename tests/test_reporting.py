@@ -4,14 +4,9 @@ import math
 import numpy as np
 import pytest
 
+from coopsense.fusion import FusionConfig, _flip, fused_qf
 from coopsense.mathx import gaussian_q
-from coopsense.reporting import (
-    ReportChannel,
-    channel_from_snr_db,
-    error_probability,
-    flip_composition,
-    perfect_channel,
-)
+from coopsense.reporting import ReportChannel, channel_from_snr_db, perfect_channel
 
 # mpmath erfc oracle values
 PE_SIGMA2_1 = 0.30853753872598689636     # Q(0.5)
@@ -43,8 +38,8 @@ class TestReportChannel:
         assert float(perfect_channel().pe) == 0.0
 
     def test_error_probability_frozen_values(self):
-        assert error_probability(ReportChannel(1.0)) == pytest.approx(PE_SIGMA2_1, rel=1e-12)
-        assert error_probability(ReportChannel(0.25)) == pytest.approx(PE_SIGMA2_025, rel=1e-12)
+        assert ReportChannel(1.0).pe == pytest.approx(PE_SIGMA2_1, rel=1e-12)
+        assert ReportChannel(0.25).pe == pytest.approx(PE_SIGMA2_025, rel=1e-12)
 
     def test_error_probability_increases_with_noise(self):
         grid = np.geomspace(3e-4, 10.0, 50)
@@ -73,32 +68,36 @@ class TestChannelFromSnrDb:
 
 
 class TestFlipComposition:
+    """The probability of a received 1 when the radio asserts 1 with probability p, as fusion forms it."""
+
     def test_trivial_points(self):
-        assert float(flip_composition(0.3, 0.0)) == pytest.approx(0.3, abs=1e-15)
+        assert _flip(0.3, 0.0) == pytest.approx(0.3, abs=1e-15)
         for pe in (0.0, 0.1, 0.5):
-            assert float(flip_composition(0.5, pe)) == pytest.approx(0.5, abs=1e-15)
-        assert float(flip_composition(0.1, 0.05)) == pytest.approx(0.14, abs=1e-15)
+            assert _flip(0.5, pe) == pytest.approx(0.5, abs=1e-15)
+        assert _flip(0.1, 0.05) == pytest.approx(0.14, abs=1e-15)
 
     def test_affine_with_contracting_slope(self):
         for pe in (0.0, 0.02, 0.2, 0.49):
             slope = 1.0 - 2.0 * pe
             for p, q in ((0.0, 1.0), (0.1, 0.7), (0.25, 0.4)):
-                lhs = float(flip_composition(q, pe)) - float(flip_composition(p, pe))
+                lhs = _flip(q, pe) - _flip(p, pe)
                 assert lhs == pytest.approx(slope * (q - p), abs=1e-14)
 
     def test_repeated_flips_contract_toward_half(self):
         for p in (0.0, 0.1, 0.3, 0.9):
             for pe in (0.05, 0.2, 0.45):
-                once = flip_composition(p, pe)
-                twice = flip_composition(once, pe)
-                assert abs(float(twice) - 0.5) <= abs(float(once) - 0.5) + 1e-15
-                assert abs(float(once) - 0.5) <= abs(p - 0.5) + 1e-15
+                once = _flip(p, pe)
+                twice = _flip(once, pe)
+                assert abs(twice - 0.5) <= abs(once - 0.5) + 1e-15
+                assert abs(once - 0.5) <= abs(p - 0.5) + 1e-15
 
     def test_rejects_out_of_range(self):
+        # the flip is formed only from probabilities validated at the public boundary
+        one_radio = FusionConfig(num_radios_k=1, vote_threshold_n=1)
         with pytest.raises(ValueError):
-            flip_composition(1.2, 0.1)
+            fused_qf(one_radio, 1.2, 0.1)
         with pytest.raises(ValueError):
-            flip_composition(0.5, -0.1)
+            fused_qf(one_radio, 0.5, -0.1)
 
 
 class TestSimulatedBitErrors:
