@@ -12,7 +12,6 @@ from .fusion import (
     PerfPoint,
     asymptotic_qf,
     asymptotic_qm,
-    enumerate_rule,
     fused_qf,
     fused_qm,
 )
@@ -61,7 +60,6 @@ __all__ = [
     "fused_qm",
     "asymptotic_qf",
     "asymptotic_qm",
-    "enumerate_rule",
     "run_sim",
     "run_grid",
     "operating_point",

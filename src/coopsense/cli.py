@@ -378,9 +378,9 @@ def cmd_simulate(cfg: dict) -> int:
         raise ConfigError(f"{field}: {err}") from err
     grid = run_grid(scenario, lambdas, ns, workers=workers)
     # grid is indexed [λ][n] and the rows run n outermost
-    sim_fields = [(float(sim.qf_hat), float(sim.qm_hat), sim.qf_stderr, sim.qm_stderr,
-                   sim.trials_h0, sim.trials_h1)
-                  for rule in zip(*grid) for sim in rule]
+    points = [sim.point for rule in zip(*grid) for sim in rule]
+    sim_fields = [(float(pt.qf), float(pt.qm), pt.qf_stderr, pt.qm_stderr, pt.trials_h0, pt.trials_h1)
+                  for pt in points]
     _emit_sweep(_analytic_sweep(k, ns, sensing, channel, lambdas), cfg.get("out"), cfg["format"],
                 sim_fields)
     return EXIT_OK

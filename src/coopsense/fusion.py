@@ -9,7 +9,6 @@ asymptotic floors at high reporting SNR.
 """
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from typing import Optional
 
@@ -24,10 +23,7 @@ __all__ = [
     "fused_qm",
     "asymptotic_qf",
     "asymptotic_qm",
-    "enumerate_rule",
 ]
-
-ENUMERATION_MAX_RADIOS = 20
 
 
 @dataclass(frozen=True)
@@ -134,27 +130,3 @@ def asymptotic_qm(cfg: FusionConfig, pe) -> Probability:
     Strictly increasing in n. Equal to fused_qm at pm = 0 by construction.
     """
     return as_probability(_fused_qm(cfg.num_radios_k, cfg.vote_threshold_n, 0.0, float(Probability(pe))))
-
-
-def enumerate_rule(cfg: FusionConfig, p_assert, pe) -> Probability:
-    """Exhaustive-enumeration oracle for the vote probabilities.
-
-    Walks every possible received bit vector, weighting each by its exact
-    per-bit probability, and accumulates the mass of vectors with at least n
-    ones. Each radio independently asserts 1 with probability ``p_assert``
-    and each transmitted bit flips with probability ``pe``. Exact up to
-    floating-point summation; limited to K <= 20 (2^K vectors).
-    """
-    k, n = cfg.num_radios_k, cfg.vote_threshold_n
-    if k > ENUMERATION_MAX_RADIOS:
-        raise ValueError(f"exhaustive enumeration is limited to K <= {ENUMERATION_MAX_RADIOS}, got {k}")
-    p = float(Probability(p_assert))
-    e = float(Probability(pe))
-    one = p * (1.0 - e) + (1.0 - p) * e
-    zero = (1.0 - p) * (1.0 - e) + p * e
-    total = math.fsum(
-        one ** mask.bit_count() * zero ** (k - mask.bit_count())
-        for mask in range(1 << k)
-        if mask.bit_count() >= n
-    )
-    return as_probability(total)

@@ -16,11 +16,22 @@ independent of how many workers executed the chunks. Sweeps over thresholds
 and vote rules reuse the same draws (common random numbers): thresholds only
 enter at the comparison stage. At most 2*workers chunks are in flight at
 once, and each radio's 2M sensing samples per trial are drawn into one
-fixed-size block of rows at a time (``_BLOCK_VALUES`` normals), so the
+fixed-size block of rows at a time (about ``_BLOCK_VALUES`` normals), so the
 working set of a chunk is bounded independent of both the number of trials
 and M. Blocking keeps every bit: a Generator fills its output in order, so
-consecutive blocks hold exactly the draws of one whole-chunk call, and the
-energy statistic reduces each trial's row on its own.
+consecutive blocks hold exactly the draws of one whole-chunk call, and each
+trial's energy statistic depends on its own row alone.
+
+The energy statistic keeps the bits of numpy's row reduction
+``((x + amp[:, None]) ** 2).sum(axis=1) + (y * y).sum(axis=1)``. That
+reduction sums each contiguous row by pairwise summation, a fixed sequence
+of float additions that depends only on M. The kernel writes the squares
+transposed, one row per sample index and one column per trial, and performs
+the same additions in the same order as whole-row operations over every
+trial of a block at once. Float addition is deterministic, so each trial gets
+the same bits, at small M several times faster than numpy's many short
+reductions. ``tests/test_montecarlo.py`` keeps the row reduction as the
+kernel's oracle.
 
 Tallies by counting. A radio decides 1 at threshold lambda when its statistic
 t >= lambda; a tie reads as 1. Over the L strictly increasing thresholds its
@@ -59,8 +70,9 @@ __all__ = [
 ]
 
 CHUNK_TRIALS = 1 << 14
-# Sensing normals per block: each radio draws the 2M samples of
-# max(1, _BLOCK_VALUES // (2M)) trials at a time.
+# Sensing normals per block: each radio draws the 2M samples per trial of a
+# chunk's count trials in ceil(count * 2M / _BLOCK_VALUES) blocks of rows of
+# near-equal height, each at most _BLOCK_VALUES + 2M values.
 _BLOCK_VALUES = 1 << 16
 
 # Stream ids inside one chunk. Radio i owns ids _STREAM_BASE + 3*i + offset.
@@ -93,63 +105,88 @@ class SimResult:
     """Aggregated rates from one simulated operating point.
 
     ``point`` holds the fused empirical rates with their binomial standard
-    errors. Per-radio rates are pooled across radios; the report error rate
-    is measured over every transmitted bit. A hypothesis side with zero
-    trials reports rate 0 with stderr 0.
+    errors and the trial count of each hypothesis. Per-radio rates are pooled
+    across radios; the report error rate is measured over every transmitted
+    bit. A hypothesis side with zero trials reports rate 0 with stderr 0.
     """
 
     point: PerfPoint
     per_radio_pf_hat: Probability
     per_radio_pm_hat: Probability
     report_error_rate_hat: Probability
-    trials_h0: int
-    trials_h1: int
-
-    @property
-    def qf_hat(self) -> Probability:
-        return self.point.qf
-
-    @property
-    def qm_hat(self) -> Probability:
-        return self.point.qm
-
-    @property
-    def qf_stderr(self) -> float:
-        return self.point.qf_stderr
-
-    @property
-    def qm_stderr(self) -> float:
-        return self.point.qm_stderr
 
 
 def _rng(seed: int, chunk_index: int, stream: int) -> np.random.Generator:
     return np.random.default_rng(np.random.SeedSequence(seed, spawn_key=(chunk_index, stream)))
 
 
-def _energy_statistic(z: np.ndarray, amp: np.ndarray) -> np.ndarray:
+def _energy_statistic(z: np.ndarray, amp: np.ndarray, zt: np.ndarray) -> np.ndarray:
     """T = sum((s + X_j)^2) + sum(Y_j^2) over the M columns of each half of ``z``.
 
     With s = sqrt(2*snr/M) this is chi-square(2M) when idle and noncentral
-    chi-square with noncentrality 2*snr when active.
+    chi-square with noncentrality 2*snr when active. The squares are written
+    transposed into ``zt``, at least ``(2M, len(z))``, and summed in numpy's
+    pairwise order (see :func:`_pairwise_rows`), so each trial's T has the
+    bits of the row reduction ``(...).sum(axis=1)``.
     """
-    m = z.shape[1] // 2
-    x = z[:, :m]
-    y = z[:, m:]
-    return ((x + amp[:, None]) ** 2).sum(axis=1) + (y * y).sum(axis=1)
+    rows, m = len(z), z.shape[1] // 2
+    zt = zt[:, :rows]
+    np.add(z[:, :m].T, amp, out=zt[:m])
+    np.square(zt[:m], out=zt[:m])
+    np.square(z[:, m:].T, out=zt[m:])
+    half_x, half_y = _pairwise_rows(zt.reshape(2, m, rows))
+    return half_x + half_y
 
 
-def _sensed_energy(rng: np.random.Generator, amp: np.ndarray, block: np.ndarray) -> np.ndarray:
+def _pairwise_rows(a: np.ndarray) -> np.ndarray:
+    """Sum ``a`` over axis 1 in the order of numpy's pairwise summation, in place.
+
+    Each column of ``a[i]`` gets the bits that ``np.add.reduce`` gives a
+    contiguous row of the same values: below 8 terms a plain left-to-right
+    sum; up to 128, eight accumulators over strides of 8 terms, combined as
+    ((r0+r1)+(r2+r3))+((r4+r5)+(r6+r7)), then the leftover terms in order;
+    above 128, the sum of both parts split at n//2 rounded down to a multiple
+    of 8. Every step is one whole-row operation. numpy starts from 0.0, and
+    0.0 + v == v for every v but -0.0, which no square is.
+    """
+    n = a.shape[1]
+    if n > 128:
+        split = n // 2 - n // 2 % 8
+        total = _pairwise_rows(a[:, :split])
+        total += _pairwise_rows(a[:, split:])
+        return total
+    if n < 8:
+        total = a[:, 0]
+        for i in range(1, n):
+            total += a[:, i]
+        return total
+    acc = a[:, :8]
+    tail = n - n % 8
+    for i in range(8, tail, 8):
+        acc += a[:, i:i + 8]
+    acc[:, 0::2] += acc[:, 1::2]   # r0+r1, r2+r3, r4+r5, r6+r7
+    acc[:, 0::4] += acc[:, 2::4]   # (r0+r1)+(r2+r3), (r4+r5)+(r6+r7)
+    total = acc[:, 0]
+    total += acc[:, 4]
+    for i in range(tail, n):
+        total += a[:, i]
+    return total
+
+
+def _sensed_energy(rng: np.random.Generator, amp: np.ndarray, block: np.ndarray,
+                   zt: np.ndarray) -> np.ndarray:
     """The energy statistic of every trial, its 2M normals drawn into ``block`` one block of rows at a time.
 
     A Generator fills its output in order, so the blocks hold exactly the
-    draws of one ``standard_normal((len(amp), 2M))`` call; each row reduces
-    on its own, so the statistic is bit-identical too.
+    draws of one ``standard_normal((len(amp), 2M))`` call; each trial's
+    statistic depends on its own row alone, so it is bit-identical too.
+    ``zt`` is the statistic's transposed scratch, ``(2M, len(block))``.
     """
     t = np.empty(len(amp))
     for start in range(0, len(amp), len(block)):
         z = block[:len(amp) - start]
         rng.standard_normal(out=z)
-        t[start:start + len(z)] = _energy_statistic(z, amp[start:start + len(z)])
+        t[start:start + len(z)] = _energy_statistic(z, amp[start:start + len(z)], zt)
     return t
 
 
@@ -222,14 +259,17 @@ def _chunk_tallies(scenario: SimScenario, lambdas: Sequence[float], n_values: Se
     sigma = math.sqrt(scenario.channel.noise_var_sigma2)
     seed = scenario.seed
     active = _rng(seed, chunk_index, _STREAM_HYPOTHESIS).random(count) < 0.5
-    block = np.empty((min(count, max(1, _BLOCK_VALUES // (2 * m))), 2 * m))
+    # equal heights leave no runt block, which would cost a whole kernel pass for a few rows
+    rows = -(-count // -(-count * 2 * m // _BLOCK_VALUES))
+    block = np.empty((rows, 2 * m))
+    zt = np.empty((2 * m, rows))
 
     def radios():
         for radio in range(scenario.fusion.num_radios_k):
             base = _STREAM_BASE + 3 * radio
             snr = _rng(seed, chunk_index, base + _OFFSET_SNR).exponential(gbar, count)
             amp = np.where(active, np.sqrt(2.0 * snr / m), 0.0)
-            t = _sensed_energy(_rng(seed, chunk_index, base + _OFFSET_SENSE), amp, block)
+            t = _sensed_energy(_rng(seed, chunk_index, base + _OFFSET_SENSE), amp, block, zt)
             w = _rng(seed, chunk_index, base + _OFFSET_REPORT).standard_normal(count) * sigma
             yield t, w
 
@@ -310,8 +350,6 @@ def run_grid(scenario: SimScenario, lambdas: Sequence[float], n_values: Sequence
                 per_radio_pf_hat=_rate(assert_h0[li], k * n_h0),
                 per_radio_pm_hat=_rate(silent_h1[li], k * n_h1),
                 report_error_rate_hat=_rate(flips[li], k * scenario.trials),
-                trials_h0=n_h0,
-                trials_h1=n_h1,
             ))
         out.append(row)
     return out

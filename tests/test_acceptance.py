@@ -16,7 +16,6 @@ from coopsense.fusion import (
     FusionConfig,
     asymptotic_qf,
     asymptotic_qm,
-    enumerate_rule,
     fused_qf,
     fused_qm,
 )
@@ -24,6 +23,8 @@ from coopsense.local_sensing import SensingParams, local_pd, local_pf, local_pm,
 from coopsense.montecarlo import SimScenario, run_grid
 from coopsense.reporting import ReportChannel, channel_from_snr_db, perfect_channel
 from coopsense.roc import crossover_table, optimal_n, qm_star
+
+from enumeration import enumerate_rule
 
 # study scenario used throughout: 4 radios, 6 samples, 20 dB average SNR
 SENSING = SensingParams(samples_m=6, threshold_lambda=0.0, avg_snr_gamma=100.0)
@@ -105,16 +106,16 @@ def test_criterion_3_monte_carlo_validates_the_chain_and_the_relabeling():
             sim = grid[li][ni]
             qf = float(fused_qf(cfg, pf, pe))
             qm = float(fused_qm(cfg, pm, pe))
-            se_f = math.sqrt(qf * (1.0 - qf) / sim.trials_h0)
-            se_m = math.sqrt(qm * (1.0 - qm) / sim.trials_h1)
-            max_z = max(max_z, abs(float(sim.qf_hat) - qf) / se_f,
-                        abs(float(sim.qm_hat) - qm) / se_m)
+            se_f = math.sqrt(qf * (1.0 - qf) / sim.point.trials_h0)
+            se_m = math.sqrt(qm * (1.0 - qm) / sim.point.trials_h1)
+            max_z = max(max_z, abs(float(sim.point.qf) - qf) / se_f,
+                        abs(float(sim.point.qm) - qm) / se_m)
             # the same expression read as a miss probability without the
             # complement must be rejected by the same data
             qm_wrong = float(fused_qm(cfg, pd, pe))
-            se_wrong = math.sqrt(max(qm_wrong * (1.0 - qm_wrong), 1e-12) / sim.trials_h1)
+            se_wrong = math.sqrt(max(qm_wrong * (1.0 - qm_wrong), 1e-12) / sim.point.trials_h1)
             min_z_mislabeled = min(min_z_mislabeled,
-                                   abs(float(sim.qm_hat) - qm_wrong) / se_wrong)
+                                   abs(float(sim.point.qm) - qm_wrong) / se_wrong)
     elapsed = time.perf_counter() - start
     report("3 (10^6-trial chain vs closed forms on the (n, lambda) grid)",
            max_z <= 4.0 and min_z_mislabeled > 4.0 and elapsed < 300.0,

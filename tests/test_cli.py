@@ -198,6 +198,16 @@ class TestSimulate:
                      "--snr-db", "5", "--perfect-report", "--lambda-grid", "0:16:5",
                      "--trials", "60000", "--seed", "7"],
                     "061988c0c9220fd4c0a123d7b292b3ddd8207bbfffe04a8ced01acfa3e3d90bd"),
+        # written by the row-reduced energy statistic of commit a7662e2: M = 16 sums each
+        # half with eight accumulators, M = 150 splits each half before that
+        "m16": (["--k", "3", "--n", "1", "--n", "2", "--n", "3", "--samples-m", "16",
+                 "--snr-db", "3", "--report-snr-db", "12", "--lambda-grid", "24:44:6",
+                 "--trials", "40000", "--seed", "1616"],
+                "7d8dc0e3b6c4d9d36870bc3e787b7cf7932fb246ab2cdc6d4df6cff1b4fd2db4"),
+        "m150": (["--k", "2", "--n", "1", "--n", "2", "--samples-m", "150",
+                  "--snr-db", "-3", "--report-snr-db", "20", "--lambda-grid", "280:340:7",
+                  "--trials", "20000", "--seed", "150150"],
+                 "60371d6fec22c1ddd86e978ffd5beeb298b2f9a62292f7eef0261179b62f096e"),
     }
 
     @pytest.mark.parametrize("workers", ["1", "2"])

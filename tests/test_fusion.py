@@ -9,10 +9,11 @@ from coopsense.fusion import (
     PerfPoint,
     asymptotic_qf,
     asymptotic_qm,
-    enumerate_rule,
     fused_qf,
     fused_qm,
 )
+
+from enumeration import enumerate_rule
 
 P_GRID = [0.0, 0.1, 0.5, 0.9, 1.0]
 PE_GRID = [0.0, 0.05, 0.3, 0.5]

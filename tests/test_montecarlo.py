@@ -23,10 +23,23 @@ def scenario(k=4, n=2, m=6, lam=12.0, gbar=100.0, snr_r_db=10.0, trials=100_000,
     )
 
 
+def row_reduced_energy_statistic(z, amp):
+    """Oracle: the energy statistic as numpy's row reduction, whose bits the kernel must keep."""
+    m = z.shape[1] // 2
+    x = z[:, :m]
+    y = z[:, m:]
+    return ((x + amp[:, None]) ** 2).sum(axis=1) + (y * y).sum(axis=1)
+
+
+def energy_statistic(z, amp):
+    """The kernel on one block, with a transposed scratch buffer of its own."""
+    return mc._energy_statistic(z, amp, np.empty((z.shape[1], len(z))))
+
+
 def idle_energy_statistic(m, trials, seed):
     """Raw energy statistics of one radio on an idle band, chi-square(2M), for distributional checks."""
     z = np.random.default_rng(np.random.SeedSequence(seed)).standard_normal((trials, 2 * m))
-    return mc._energy_statistic(z, np.zeros(trials))
+    return energy_statistic(z, np.zeros(trials))
 
 
 def within_4se(estimate, truth, stderr):
@@ -95,15 +108,15 @@ class TestDegenerateCases:
     def test_zero_threshold_perfect_reports(self):
         # every radio always asserts and every report arrives intact
         res = run_sim(scenario(lam=0.0, perfect=True, trials=20_000, seed=3))
-        assert float(res.qf_hat) == 1.0
-        assert float(res.qm_hat) == 0.0
+        assert float(res.point.qf) == 1.0
+        assert float(res.point.qm) == 0.0
         assert float(res.report_error_rate_hat) == 0.0
 
     def test_single_trial_is_well_formed(self):
         res = run_sim(scenario(trials=1, seed=8))
-        assert res.trials_h0 + res.trials_h1 == 1
-        assert 0.0 <= float(res.qf_hat) <= 1.0
-        assert 0.0 <= float(res.qm_hat) <= 1.0
+        assert res.point.trials_h0 + res.point.trials_h1 == 1
+        assert 0.0 <= float(res.point.qf) <= 1.0
+        assert 0.0 <= float(res.point.qm) <= 1.0
 
 
 class TestDistributionalSanity:
@@ -134,7 +147,7 @@ class TestClosedFormAgreement:
         res = run_sim(SimScenario(sensing=base.sensing, channel=channel, fusion=base.fusion,
                                   trials=base.trials, seed=base.seed))
         pf = float(local_pf(SensingParams(samples_m=6, threshold_lambda=12.0, avg_snr_gamma=100.0)))
-        assert within_4se(float(res.qf_hat), pf, res.qf_stderr)
+        assert within_4se(float(res.point.qf), pf, res.point.qf_stderr)
 
     @pytest.mark.parametrize("m,lam,gbar,seed", [
         (6, 12.0, 100.0, 101),   # 20 dB average SNR operating point
@@ -147,8 +160,8 @@ class TestClosedFormAgreement:
         res = run_sim(scenario(k=1, n=1, m=m, lam=lam, gbar=gbar, trials=1_000_000, seed=seed))
         p = SensingParams(samples_m=m, threshold_lambda=lam, avg_snr_gamma=gbar)
         pf, pm = float(local_pf(p)), float(local_pm(p))
-        se_f = math.sqrt(pf * (1 - pf) / res.trials_h0)
-        se_m = math.sqrt(pm * (1 - pm) / res.trials_h1)
+        se_f = math.sqrt(pf * (1 - pf) / res.point.trials_h0)
+        se_m = math.sqrt(pm * (1 - pm) / res.point.trials_h1)
         assert abs(float(res.per_radio_pf_hat) - pf) <= 4.0 * max(se_f, 1e-12)
         assert abs(float(res.per_radio_pm_hat) - pm) <= 4.0 * max(se_m, 1e-12)
 
@@ -159,8 +172,8 @@ class TestClosedFormAgreement:
         pe = channel_from_snr_db(10.0).pe
         qf = float(fused_qf(cfg, local_pf(p), pe))
         qm = float(fused_qm(cfg, local_pm(p), pe))
-        assert within_4se(float(res.qf_hat), qf, res.qf_stderr)
-        assert within_4se(float(res.qm_hat), qm, res.qm_stderr)
+        assert within_4se(float(res.point.qf), qf, res.point.qf_stderr)
+        assert within_4se(float(res.point.qm), qm, res.point.qm_stderr)
 
 
 class TestCommonRandomNumbers:
@@ -168,8 +181,8 @@ class TestCommonRandomNumbers:
         # shared draws and nested decision regions force monotone empirical curves
         base = scenario(trials=50_000, seed=61)
         sweep = [row[0] for row in run_grid(base, [4.0, 8.0, 12.0, 16.0, 24.0], [2])]
-        qf = [float(r.qf_hat) for r in sweep]
-        qm = [float(r.qm_hat) for r in sweep]
+        qf = [float(r.point.qf) for r in sweep]
+        qm = [float(r.point.qm) for r in sweep]
         assert all(b <= a for a, b in zip(qf, qf[1:]))
         assert all(b >= a for a, b in zip(qm, qm[1:]))
 
@@ -182,10 +195,10 @@ class TestCommonRandomNumbers:
         sweep = [row[0] for row in run_grid(base, lambdas, [2])]
         curve = analytic_roc(base.fusion, base.sensing, base.channel, lambdas)
         for res, (_, qf, qm) in zip(sweep, curve.points):
-            se_f = math.sqrt(float(qf) * (1.0 - float(qf)) / res.trials_h0)
-            se_m = math.sqrt(float(qm) * (1.0 - float(qm)) / res.trials_h1)
-            assert abs(float(res.qf_hat) - float(qf)) <= 4.0 * se_f
-            assert abs(float(res.qm_hat) - float(qm)) <= 4.0 * se_m
+            se_f = math.sqrt(float(qf) * (1.0 - float(qf)) / res.point.trials_h0)
+            se_m = math.sqrt(float(qm) * (1.0 - float(qm)) / res.point.trials_h1)
+            assert abs(float(res.point.qf) - float(qf)) <= 4.0 * se_f
+            assert abs(float(res.point.qm) - float(qm)) <= 4.0 * se_m
 
 
 def slicing_tallies(t, w, active, lambdas, n_values):
@@ -347,6 +360,26 @@ class TestStreaming:
         assert result == run_grid(s, [1.0, 4.0], [1, 2], workers=1)
 
 
+class TestEnergyStatistic:
+    """The transposed kernel against the row reduction it replaced, bit for bit."""
+
+    # below 8 terms, the eight-accumulator range up to 128, split once and split again
+    M_VALUES = [*range(1, 141), 150, 257, 2048]
+
+    @pytest.mark.parametrize("active", [False, True], ids=["idle", "active"])
+    @pytest.mark.parametrize("rows,width", [(37, 37), (5, 9), (1, 1)], ids=["full", "ragged", "one-row"])
+    def test_matches_the_row_reduction_bit_for_bit(self, active, rows, width):
+        rng = np.random.default_rng(rows + active)
+        for m in self.M_VALUES:
+            z = rng.standard_normal((rows, 2 * m))
+            amp = np.where(rng.random(rows) < 0.5, rng.uniform(0.0, 3.0, rows), 0.0) if active \
+                else np.zeros(rows)
+            # a ragged last block fills the first columns of a wider, stale buffer
+            zt = rng.standard_normal((2 * m, width))
+            got = mc._energy_statistic(z, amp, zt)
+            assert got.tobytes() == row_reduced_energy_statistic(z, amp).tobytes(), m
+
+
 class TestBlocking:
     """Drawing the sensing samples a block of rows at a time changes no bit."""
 
@@ -356,23 +389,48 @@ class TestBlocking:
         blocks = []
         energy = mc._energy_statistic
 
-        def recording(z, amp):
+        def recording(z, amp, zt):
             blocks.append(z.copy())
-            return energy(z, amp)
+            return energy(z, amp, zt)
 
         monkeypatch.setattr(mc, "_energy_statistic", recording)
         amp = np.random.default_rng(m).uniform(0.0, 3.0, count)
-        t = mc._sensed_energy(mc._rng(7, 2, 5), amp, np.empty((min(rows, count), 2 * m)))
+        height = min(rows, count)
+        t = mc._sensed_energy(mc._rng(7, 2, 5), amp, np.empty((height, 2 * m)), np.empty((2 * m, height)))
         z = mc._rng(7, 2, 5).standard_normal((count, 2 * m))
         assert [len(b) for b in blocks] == [min(rows, count - s) for s in range(0, count, rows)]
         assert np.array_equal(np.concatenate(blocks), z)
-        assert np.array_equal(t, energy(z, amp))
+        assert np.array_equal(t, energy_statistic(z, amp))
+        assert t.tobytes() == row_reduced_energy_statistic(z, amp).tobytes()
+
+    @pytest.mark.parametrize("m,count,heights", [
+        (6, 16384, [5462] * 2 + [5460]),      # not 5461 x 3 and a runt of one row
+        (16, 16384, [2048] * 8),
+        (100, 16384, [328] * 49 + [312]),
+        (1, 16384, [16384]),                  # 32 768 values fit one block
+        (3, 77, [77]),
+        (40000, 3, [1] * 3),                  # one row already holds more than a block
+    ])
+    def test_block_heights(self, monkeypatch, m, count, heights):
+        got = []
+        energy = mc._energy_statistic
+
+        def recording(z, amp, zt):
+            got.append(len(z))
+            return energy(z, amp, zt)
+
+        monkeypatch.setattr(mc, "_energy_statistic", recording)
+        s = scenario(k=1, n=1, m=m, lam=2.0 * m, trials=count, seed=53)
+        mc._chunk_tallies(s, [2.0 * m], [1], 0, count)
+        assert got == heights
+        assert len(got) <= -(-count * 2 * m // mc._BLOCK_VALUES)
+        assert max(got) * 2 * m <= mc._BLOCK_VALUES + 2 * m
 
     @pytest.mark.parametrize("m", [1, 16])
     @pytest.mark.parametrize("trials", [1, mc.CHUNK_TRIALS + 77])
     @pytest.mark.parametrize("block_values", [
         1,          # below 2M: one row per block
-        1000,       # 500 and 31 rows, neither divides CHUNK_TRIALS
+        1000,       # 497 and 32 rows in a full chunk; the 77-trial one is ragged at M = 16
         1 << 30,    # more rows than a chunk holds: one block per chunk
     ])
     def test_grid_equals_the_default_blocking(self, monkeypatch, m, trials, block_values):

@@ -270,10 +270,10 @@ class TestEmpiricalOverlay:
                 sim = grid[li][ni]
                 # band from the analytical rate so rare-event cells with zero
                 # observed counts still get a meaningful standard error
-                se_f = math.sqrt(float(qf) * (1 - float(qf)) / sim.trials_h0)
-                se_m = math.sqrt(float(qm) * (1 - float(qm)) / sim.trials_h1)
-                assert abs(float(sim.qf_hat) - float(qf)) <= 4.0 * se_f
-                assert abs(float(sim.qm_hat) - float(qm)) <= 4.0 * se_m
+                se_f = math.sqrt(float(qf) * (1 - float(qf)) / sim.point.trials_h0)
+                se_m = math.sqrt(float(qm) * (1 - float(qm)) / sim.point.trials_h1)
+                assert abs(float(sim.point.qf) - float(qf)) <= 4.0 * se_f
+                assert abs(float(sim.point.qm) - float(qm)) <= 4.0 * se_m
 
 
 class TestKernelPath:
