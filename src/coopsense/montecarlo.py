@@ -22,16 +22,15 @@ and M. Blocking keeps every bit: a Generator fills its output in order, so
 consecutive blocks hold exactly the draws of one whole-chunk call, and each
 trial's energy statistic depends on its own row alone.
 
-The energy statistic keeps the bits of numpy's row reduction
-``((x + amp[:, None]) ** 2).sum(axis=1) + (y * y).sum(axis=1)``. That
-reduction sums each contiguous row by pairwise summation, a fixed sequence
-of float additions that depends only on M. The kernel writes the squares
-transposed, one row per sample index and one column per trial, and performs
-the same additions in the same order as whole-row operations over every
-trial of a block at once. Float addition is deterministic, so each trial gets
-the same bits, at small M several times faster than numpy's many short
-reductions. ``tests/test_montecarlo.py`` keeps the row reduction as the
-kernel's oracle.
+The energy statistic is numpy's row reduction
+``((x + amp[:, None]) ** 2).sum(axis=1) + (y * y).sum(axis=1)``. Below 8
+terms numpy sums a row left to right, so for M < 8 the kernel adds whole
+columns of the block in that order instead: the same float additions, bit
+for bit, without one short reduction per trial. From 8 terms on numpy sums
+in a pairwise order, and the kernel keeps the row reduction itself.
+``tests/test_montecarlo.py`` holds the row reduction as the oracle of both
+paths. This was verified on numpy 2.4.6; rerun ``TestEnergyStatistic`` when
+numpy is upgraded.
 
 Tallies by counting. A radio decides 1 at threshold lambda when its statistic
 t >= lambda; a tie reads as 1. Over the L strictly increasing thresholds its
@@ -120,73 +119,38 @@ def _rng(seed: int, chunk_index: int, stream: int) -> np.random.Generator:
     return np.random.default_rng(np.random.SeedSequence(seed, spawn_key=(chunk_index, stream)))
 
 
-def _energy_statistic(z: np.ndarray, amp: np.ndarray, zt: np.ndarray) -> np.ndarray:
+def _energy_statistic(z: np.ndarray, amp: np.ndarray) -> np.ndarray:
     """T = sum((s + X_j)^2) + sum(Y_j^2) over the M columns of each half of ``z``.
 
     With s = sqrt(2*snr/M) this is chi-square(2M) when idle and noncentral
-    chi-square with noncentrality 2*snr when active. The squares are written
-    transposed into ``zt``, at least ``(2M, len(z))``, and summed in numpy's
-    pairwise order (see :func:`_pairwise_rows`), so each trial's T has the
-    bits of the row reduction ``(...).sum(axis=1)``.
+    chi-square with noncentrality 2*snr when active.
     """
-    rows, m = len(z), z.shape[1] // 2
-    zt = zt[:, :rows]
-    np.add(z[:, :m].T, amp, out=zt[:m])
-    np.square(zt[:m], out=zt[:m])
-    np.square(z[:, m:].T, out=zt[m:])
-    half_x, half_y = _pairwise_rows(zt.reshape(2, m, rows))
-    return half_x + half_y
+    m = z.shape[1] // 2
+    x = z[:, :m]
+    y = z[:, m:]
+    if m >= 8:
+        return ((x + amp[:, None]) ** 2).sum(axis=1) + (y * y).sum(axis=1)
+    # numpy sums fewer than 8 terms left to right: add the columns in that order
+    sx = (x[:, 0] + amp) ** 2
+    sy = y[:, 0] * y[:, 0]
+    for j in range(1, m):
+        sx += (x[:, j] + amp) ** 2
+        sy += y[:, j] * y[:, j]
+    return sx + sy
 
 
-def _pairwise_rows(a: np.ndarray) -> np.ndarray:
-    """Sum ``a`` over axis 1 in the order of numpy's pairwise summation, in place.
-
-    Each column of ``a[i]`` gets the bits that ``np.add.reduce`` gives a
-    contiguous row of the same values: below 8 terms a plain left-to-right
-    sum; up to 128, eight accumulators over strides of 8 terms, combined as
-    ((r0+r1)+(r2+r3))+((r4+r5)+(r6+r7)), then the leftover terms in order;
-    above 128, the sum of both parts split at n//2 rounded down to a multiple
-    of 8. Every step is one whole-row operation. numpy starts from 0.0, and
-    0.0 + v == v for every v but -0.0, which no square is.
-    """
-    n = a.shape[1]
-    if n > 128:
-        split = n // 2 - n // 2 % 8
-        total = _pairwise_rows(a[:, :split])
-        total += _pairwise_rows(a[:, split:])
-        return total
-    if n < 8:
-        total = a[:, 0]
-        for i in range(1, n):
-            total += a[:, i]
-        return total
-    acc = a[:, :8]
-    tail = n - n % 8
-    for i in range(8, tail, 8):
-        acc += a[:, i:i + 8]
-    acc[:, 0::2] += acc[:, 1::2]   # r0+r1, r2+r3, r4+r5, r6+r7
-    acc[:, 0::4] += acc[:, 2::4]   # (r0+r1)+(r2+r3), (r4+r5)+(r6+r7)
-    total = acc[:, 0]
-    total += acc[:, 4]
-    for i in range(tail, n):
-        total += a[:, i]
-    return total
-
-
-def _sensed_energy(rng: np.random.Generator, amp: np.ndarray, block: np.ndarray,
-                   zt: np.ndarray) -> np.ndarray:
+def _sensed_energy(rng: np.random.Generator, amp: np.ndarray, block: np.ndarray) -> np.ndarray:
     """The energy statistic of every trial, its 2M normals drawn into ``block`` one block of rows at a time.
 
     A Generator fills its output in order, so the blocks hold exactly the
     draws of one ``standard_normal((len(amp), 2M))`` call; each trial's
     statistic depends on its own row alone, so it is bit-identical too.
-    ``zt`` is the statistic's transposed scratch, ``(2M, len(block))``.
     """
     t = np.empty(len(amp))
     for start in range(0, len(amp), len(block)):
         z = block[:len(amp) - start]
         rng.standard_normal(out=z)
-        t[start:start + len(z)] = _energy_statistic(z, amp[start:start + len(z)], zt)
+        t[start:start + len(z)] = _energy_statistic(z, amp[start:start + len(z)])
     return t
 
 
@@ -259,17 +223,16 @@ def _chunk_tallies(scenario: SimScenario, lambdas: Sequence[float], n_values: Se
     sigma = math.sqrt(scenario.channel.noise_var_sigma2)
     seed = scenario.seed
     active = _rng(seed, chunk_index, _STREAM_HYPOTHESIS).random(count) < 0.5
-    # equal heights leave no runt block, which would cost a whole kernel pass for a few rows
-    rows = -(-count // -(-count * 2 * m // _BLOCK_VALUES))
-    block = np.empty((rows, 2 * m))
-    zt = np.empty((2 * m, rows))
+    # equal heights leave no runt block, which would cost a whole statistic pass for a few rows
+    blocks = -(-count * 2 * m // _BLOCK_VALUES)
+    block = np.empty((-(-count // blocks), 2 * m))
 
     def radios():
         for radio in range(scenario.fusion.num_radios_k):
             base = _STREAM_BASE + 3 * radio
             snr = _rng(seed, chunk_index, base + _OFFSET_SNR).exponential(gbar, count)
             amp = np.where(active, np.sqrt(2.0 * snr / m), 0.0)
-            t = _sensed_energy(_rng(seed, chunk_index, base + _OFFSET_SENSE), amp, block, zt)
+            t = _sensed_energy(_rng(seed, chunk_index, base + _OFFSET_SENSE), amp, block)
             w = _rng(seed, chunk_index, base + _OFFSET_REPORT).standard_normal(count) * sigma
             yield t, w
 

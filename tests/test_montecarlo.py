@@ -31,15 +31,10 @@ def row_reduced_energy_statistic(z, amp):
     return ((x + amp[:, None]) ** 2).sum(axis=1) + (y * y).sum(axis=1)
 
 
-def energy_statistic(z, amp):
-    """The kernel on one block, with a transposed scratch buffer of its own."""
-    return mc._energy_statistic(z, amp, np.empty((z.shape[1], len(z))))
-
-
 def idle_energy_statistic(m, trials, seed):
     """Raw energy statistics of one radio on an idle band, chi-square(2M), for distributional checks."""
     z = np.random.default_rng(np.random.SeedSequence(seed)).standard_normal((trials, 2 * m))
-    return energy_statistic(z, np.zeros(trials))
+    return mc._energy_statistic(z, np.zeros(trials))
 
 
 def within_4se(estimate, truth, stderr):
@@ -361,22 +356,21 @@ class TestStreaming:
 
 
 class TestEnergyStatistic:
-    """The transposed kernel against the row reduction it replaced, bit for bit."""
+    """The kernel against numpy's row reduction, bit for bit, on both of its paths."""
 
-    # below 8 terms, the eight-accumulator range up to 128, split once and split again
+    # column sums below 8 terms; the row reduction with eight accumulators, split once and again
     M_VALUES = [*range(1, 141), 150, 257, 2048]
 
     @pytest.mark.parametrize("active", [False, True], ids=["idle", "active"])
-    @pytest.mark.parametrize("rows,width", [(37, 37), (5, 9), (1, 1)], ids=["full", "ragged", "one-row"])
-    def test_matches_the_row_reduction_bit_for_bit(self, active, rows, width):
+    @pytest.mark.parametrize("rows,height", [(37, 37), (5, 9), (1, 1)], ids=["full", "ragged", "one-row"])
+    def test_matches_the_row_reduction_bit_for_bit(self, active, rows, height):
         rng = np.random.default_rng(rows + active)
         for m in self.M_VALUES:
-            z = rng.standard_normal((rows, 2 * m))
+            # a ragged last block is the first rows of a taller block buffer
+            z = rng.standard_normal((height, 2 * m))[:rows]
             amp = np.where(rng.random(rows) < 0.5, rng.uniform(0.0, 3.0, rows), 0.0) if active \
                 else np.zeros(rows)
-            # a ragged last block fills the first columns of a wider, stale buffer
-            zt = rng.standard_normal((2 * m, width))
-            got = mc._energy_statistic(z, amp, zt)
+            got = mc._energy_statistic(z, amp)
             assert got.tobytes() == row_reduced_energy_statistic(z, amp).tobytes(), m
 
 
@@ -389,18 +383,17 @@ class TestBlocking:
         blocks = []
         energy = mc._energy_statistic
 
-        def recording(z, amp, zt):
+        def recording(z, amp):
             blocks.append(z.copy())
-            return energy(z, amp, zt)
+            return energy(z, amp)
 
         monkeypatch.setattr(mc, "_energy_statistic", recording)
         amp = np.random.default_rng(m).uniform(0.0, 3.0, count)
-        height = min(rows, count)
-        t = mc._sensed_energy(mc._rng(7, 2, 5), amp, np.empty((height, 2 * m)), np.empty((2 * m, height)))
+        t = mc._sensed_energy(mc._rng(7, 2, 5), amp, np.empty((min(rows, count), 2 * m)))
         z = mc._rng(7, 2, 5).standard_normal((count, 2 * m))
         assert [len(b) for b in blocks] == [min(rows, count - s) for s in range(0, count, rows)]
         assert np.array_equal(np.concatenate(blocks), z)
-        assert np.array_equal(t, energy_statistic(z, amp))
+        assert np.array_equal(t, energy(z, amp))
         assert t.tobytes() == row_reduced_energy_statistic(z, amp).tobytes()
 
     @pytest.mark.parametrize("m,count,heights", [
@@ -415,9 +408,9 @@ class TestBlocking:
         got = []
         energy = mc._energy_statistic
 
-        def recording(z, amp, zt):
+        def recording(z, amp):
             got.append(len(z))
-            return energy(z, amp, zt)
+            return energy(z, amp)
 
         monkeypatch.setattr(mc, "_energy_statistic", recording)
         s = scenario(k=1, n=1, m=m, lam=2.0 * m, trials=count, seed=53)
