@@ -69,24 +69,22 @@ def _fade(samples_m: int, gamma: float, lam):
 
 
 def _local_pm_parts(samples_m: int, gamma: float, lam):
-    """Local miss at each threshold, its slope d pm / d lam, and the scale of its rounding error.
+    """Local miss at each threshold and its slope d pm / d lam.
 
     pd = Q(M-1, lam/2) + fade, so pm = P(M-1, lam/2) - fade, formed directly
     rather than as 1 - pd; for M = 1 it is 1 - exp(-lam / (2 + 2*gamma)),
     evaluated with expm1. The slope is the H1 density of the statistic,
     fade / (2 + 2*gamma): the derivatives of the two incomplete-gamma terms
-    cancel (Digham, Alouini & Simon, IEEE Trans. Commun. 55(1), 2007). The
-    scale is the larger term pm is formed from, P(M-1, lam/2), or pm itself
-    for M = 1.
+    cancel (Digham, Alouini & Simon, IEEE Trans. Commun. 55(1), 2007).
     """
     lam = np.asarray(lam, dtype=float)
     c = 2.0 + 2.0 * gamma
     if samples_m == 1:
         pm = -np.expm1(-lam / c)
-        return pm, np.exp(-lam / c) / c, pm
+        return pm, np.exp(-lam / c) / c
     lower, fade = _sp.gammainc(samples_m - 1, lam / 2.0), _fade(samples_m, gamma, lam)
     # the two terms cancel to leading order at small lam; rounding may dip below 0
-    return np.maximum(lower - fade, 0.0), fade / c, lower
+    return np.maximum(lower - fade, 0.0), fade / c
 
 
 def _local_pm(samples_m: int, gamma: float, lam):

@@ -10,7 +10,8 @@ threshold from the target miss probability, then double-checks itself against
 a direct constrained minimization. A crossover table is one solve over all
 rule pairs: shared gap-sign scans, then Brent steps run in lockstep by
 :mod:`coopsense._inversion`, bit for bit scipy's ``brentq`` but without
-importing ``scipy.optimize``.
+importing ``scipy.optimize``. Each rule's threshold for a miss level is the
+Newton root of its fused miss, with a plain bisection as the fallback.
 """
 from __future__ import annotations
 
@@ -188,8 +189,9 @@ def _rule_point(k: int, n, samples_m: int, gamma: float, pe: float, lam):
 def _lambda_for_qm(k: int, n, samples_m: int, gamma: float, pe: float, target):
     """Thresholds at which rules n reach miss targets between their floors and loose limits.
 
-    Bit for bit those of a plain bisection (:mod:`coopsense._inversion`,
-    imported here on first use, so only commands that invert a miss load it).
+    Newton roots of the fused miss, or a plain bisection where none settles
+    (:mod:`coopsense._inversion`, imported here on first use, so only
+    commands that invert a miss load it).
     """
     from . import _inversion
 
@@ -250,7 +252,7 @@ def _crossovers(k: int, ns, samples_m: int, gamma: float, pe: float):
     scans of all pairs share :func:`_inversion.gap_signs` calls of at most
     _SCAN_PAIRS pairs, which read only the gaps' signs; the Brent solves of
     all pairs run in lockstep (:func:`_inversion.brentq`), and each step
-    inverts both rules exactly with :func:`_lambda_for_qm`. dominant is 0
+    inverts both rules with :func:`_lambda_for_qm`. dominant is 0
     where the rules cross and the entry is the crossing; where rule n
     dominates the entry is inf, and where rule n+1 does it is n+1's floor.
     """
@@ -285,11 +287,8 @@ def _crossovers(k: int, ns, samples_m: int, gamma: float, pe: float):
     cross = np.flatnonzero(dominant == 0)
 
     def gap(owners, q):
-        # qf of rules n+1 minus qf of rules n at miss levels q, both rules inverted at once
         n = ns[cross[owners]]
-        pair = np.array([n, n + 1])
-        qf = _fused_qf(k, pair, _local_pf(m, _lambda_for_qm(k, pair, m, g, pe, q)), pe)
-        return qf[1] - qf[0]
+        return _inversion.qf_gap(k, np.array([n, n + 1]), m, g, pe, q)
 
     entries = np.where(dominant == ns, math.inf, floor_b)
     entries[cross] = _inversion.brentq(gap, brackets, xtol=1e-15, rtol=8.9e-16, maxiter=200)
@@ -299,9 +298,9 @@ def _crossovers(k: int, ns, samples_m: int, gamma: float, pe: float):
 def qm_star(fusion: FusionConfig, sensing: SensingParams, channel: ReportChannel) -> Probability:
     """Miss level at which rules n and n+1 exchange superiority.
 
-    The scan and Brent solve of :func:`_crossovers` for this one pair, whose
-    root is bit for bit what ``scipy.optimize.brentq`` finds over plain
-    bisections of both rules' thresholds. Raises :class:`NoCrossoverError`
+    The scan and Brent solve of :func:`_crossovers` for this one pair: the
+    root ``scipy.optimize.brentq`` finds for the gap between both rules'
+    false alarms at their Newton thresholds. Raises :class:`NoCrossoverError`
     when one rule dominates throughout, which includes the perfect-channel
     limit (smaller rule wins) and the fully scrambled pe = 0.5 channel, where
     the comparison is a tie and the smaller rule is preferred.

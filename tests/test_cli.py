@@ -233,7 +233,8 @@ PERFECT = ["--k", "4", "--samples-m", "6", "--snr-db", "20", "--perfect-report"]
 
 
 class TestGoldenBytes:
-    """sha256 of every output path, as written by the row-per-dict writer at commit 1b03617.
+    """sha256 of every output path, as written by the row-per-dict writer at commit 1b03617, except
+    optimal-n-noisy and optimal-n-perfect-json, which print the Newton thresholds' last bits.
 
     The K = 64 cases hold a qf that underflows to a printed 0 (perfect channel)
     and rows with qf = 1 (noisy channel); the perfect-channel optimal-n case
@@ -257,11 +258,11 @@ class TestGoldenBytes:
             "csv": "79c1ca34c40f154984d30ee0e9c50b8007ff8cf254347b6d9340198fe0b9cc06",
             "json": "f0f0b7b2dd29285149f3f3a8e30d9a4caa218cbd4f419efcf466f7cc581419d1"}),
         "optimal-n-noisy": (["optimal-n", *BASE, "--target-qm", "0.05"], {
-            "csv": "e2cdc1aedd16d7d0a1fc30b5c94ce0089d1d7586eb3b4b9c9f91ff4af2fc166c",
-            "json": "0b5694bcec46da77befc61394c99abe1aa66bab1570c7192ea70b8caebb8ae93"}),
+            "csv": "709713bf7ce98c2de28fa56c4a7c5ad33c71a0ea339d2d1a7f82577541334a85",
+            "json": "3ec1038b372661ffed906f3e0d4b47a7d5707edd47f7574c1e75a18be9dcafbb"}),
         "optimal-n-perfect": (["optimal-n", *PERFECT, "--target-qm", "0.01"], {
             "csv": "3788311efb157c4ed66207f50ab4cb2b90e4efb048e05c020354be88c3435fbe",
-            "json": "aebf607c34c203938c9615fd7eee3af4de7fff37c8e03ba3327696d4c3c1a9bf"}),
+            "json": "4447d513d5040b51074b5aef6eb94ae651d447a2d4b5dd62bd1b1c2b70333a5a"}),
     }
 
     @pytest.mark.parametrize("fmt", ["csv", "json"])

@@ -1,11 +1,12 @@
 """ROC curves, crossovers, and adaptive rule selection against brute-force scans."""
 import math
+import warnings
 from dataclasses import replace
 
 import numpy as np
 import pytest
 
-from coopsense.fusion import FusionConfig, asymptotic_qf, asymptotic_qm, fused_qf, fused_qm
+from coopsense.fusion import FusionConfig, _fused_qm, asymptotic_qf, asymptotic_qm, fused_qf, fused_qm
 from coopsense.local_sensing import SensingParams, local_pf, local_pm, threshold_for_pf
 from coopsense.montecarlo import SimScenario, run_grid
 from coopsense.reporting import ReportChannel, channel_from_snr_db, perfect_channel
@@ -298,15 +299,22 @@ class TestKernelPath:
             assert qm == float(fused_qm(rule(4, n), 1.0, pe))
 
     def test_inversion_hits_the_target_and_ignores_its_batch(self):
+        from coopsense._inversion import _predict
         from coopsense.roc import _lambda_for_qm, _rule_point
 
         pe = float(CH10.pe)
-        targets = np.array([2e-3, 0.05, 0.3])
-        ns = np.array([1, 2, 4])
-        batch = _lambda_for_qm(4, ns, 6, 100.0, pe, targets)
+        # Newton roots, and targets 1e-10 of the span from a floor or a loose limit, which are bisected
+        floor, sup = _fused_qm(4, np.array([2, 3]), 0.0, pe), _fused_qm(4, np.array([2, 3]), 1.0, pe)
+        targets = np.array([2e-3, 0.05, 0.3, *(floor + (sup - floor) * 1e-10), *(sup - (sup - floor) * 1e-10)])
+        ns = np.array([1, 2, 4, 2, 3, 2, 3])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            bisected = np.isnan(_predict(4, ns, 6, 100.0, pe, targets))
+            batch = _lambda_for_qm(4, ns, 6, 100.0, pe, targets)
+            alone = [_lambda_for_qm(4, np.array([n]), 6, 100.0, pe, target)[0] for n, target in zip(ns, targets)]
+        assert bisected.tolist() == [False] * 3 + [True] * 4
+        assert batch.tolist() == alone
         for n, target, lam in zip(ns, targets, batch):
-            alone = _lambda_for_qm(4, np.array([n]), 6, 100.0, pe, target)
-            assert alone[0] == lam
             assert float(_rule_point(4, n, 6, 100.0, pe, lam)[1]) == pytest.approx(target, rel=1e-9)
 
     def test_achieved_point_is_reused_from_the_direct_search(self):

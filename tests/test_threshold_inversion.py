@@ -1,4 +1,5 @@
-"""The certified threshold inversion against the plain bisection it replays, and its math against mpmath."""
+"""The threshold inversion and the crossover table against 40-digit mpmath roots of the same closed
+forms, the bisection fallback against the plain bisection, and the inversion's math against mpmath."""
 import hashlib
 import math
 import warnings
@@ -15,15 +16,26 @@ from coopsense import _inversion as inv
 from coopsense import roc
 from coopsense.cli import main
 from coopsense.fusion import FusionConfig, _fused_qf, _fused_qm
-from coopsense.local_sensing import SensingParams, _fade, _local_pf, _local_pm, _local_pm_parts
+from coopsense.local_sensing import SensingParams, _local_pf, _local_pm, _local_pm_parts
 from coopsense.reporting import ReportChannel, channel_from_snr_db, perfect_channel
 
 PROPERTY = settings(max_examples=120, deadline=None, derandomize=True, database=None,
-                    suppress_health_check=[HealthCheck.too_slow])
+                    suppress_health_check=[HealthCheck.too_slow, HealthCheck.filter_too_much])
+# A Newton threshold is within this many ulps of the exact root wherever the closed form's own rounding
+# moves that root by at most AMPLIFICATION roundings of the threshold. Of 1500 random targets, 1263 were
+# there: the Newton roots were up to 60 ulps off, and the plain bisection up to 10 029, because its
+# absolute tolerance of 1e-13 is many ulps at small thresholds.
+ULPS = 128
+AMPLIFICATION = 8.0
+# Crossover entries lie within this many of Brent's tolerances, 1e-15 + 8.9e-16 q, of the exact
+# crossing, or no farther from it than the bisection scan's entry. On 571 sampled crossings the entries
+# were a median of 0.18 tolerances off, and the scan's 0.36; where the gap is flat, at low sensing SNR,
+# both went past 100.
+TOLERANCES = 64
 
 
 def bisection_oracle(k, n, samples_m, gamma, pe, target):
-    """The threshold inversion as it stood before the certified replay, kept verbatim as the oracle."""
+    """The plain threshold bisection, kept verbatim as the oracle of lambda_for_qm's fallback."""
     n, target = np.broadcast_arrays(n, np.asarray(target, dtype=float))
     miss = lambda lam: _fused_qm(k, n, _local_pm(samples_m, gamma, lam), pe)
     hi = np.full(target.shape, 2.0 * _sp.gammainccinv(samples_m, inv._PF_SWEEP_LO))
@@ -86,6 +98,63 @@ def upper_tail(a, b, x):
     return mp.fsum(mp.binomial(k, j) * x**j * (1 - x) ** (k - j) for j in range(a, k + 1))
 
 
+def exact_miss(k, n, m, gamma, pe, lam):
+    """The fused miss of rule n at threshold lam in mpmath, from the closed form the kernels evaluate."""
+    g, lam = mp.mpf(gamma), mp.mpf(lam)
+    c = 2 + 2 * g
+    if m == 1:
+        pm = -mp.expm1(-lam / c)
+    else:
+        fade = ((1 + g) / g) ** (m - 1) * mp.exp(-lam / c) * mp.gammainc(m - 1, 0, lam * g / c, regularized=True)
+        pm = mp.gammainc(m - 1, 0, lam / 2, regularized=True) - fade
+    return upper_tail(k - n + 1, n, pm * (1 - mp.mpf(pe)) + (1 - pm) * mp.mpf(pe))
+
+
+def exact_false_alarm(k, n, m, pe, lam):
+    pf = mp.gammainc(m, mp.mpf(lam) / 2, mp.inf, regularized=True)
+    return upper_tail(n, k - n + 1, pf * (1 - mp.mpf(pe)) + (1 - pf) * mp.mpf(pe))
+
+
+def exact_threshold(k, n, m, gamma, pe, target, start):
+    """The root of exact_miss = target (call within mp.workdps(40)), by secant steps from a float root."""
+    start = mp.mpf(float(start))
+    return mp.findroot(lambda lam: exact_miss(k, n, m, gamma, pe, lam) - mp.mpf(target),
+                       (start, start * (1 + mp.mpf(2) ** -30)), solver="secant", tol=mp.mpf(10) ** -70)
+
+
+def ulps_off(k, n, m, gamma, pe, target, lam):
+    with mp.workdps(40):
+        root = exact_threshold(k, n, m, gamma, pe, target, lam)
+        return float(abs(mp.mpf(float(lam)) - root) / math.ulp(float(root)))
+
+
+def amplification(k, n, m, gamma, pe, lam):
+    """How many roundings of the threshold the closed form's rounding at lam is worth: the fused miss's
+    condition F / (lam dF/dlam), and the local miss's pm / (lam dpm/dlam) scaled by the cancellation in
+    pm = P(M-1, lam/2) - fade and in the flip pe + (1 - 2 pe) pm."""
+    qm, slope = inv._fused_miss(k, n, m, gamma, pe, lam)
+    pm, dpm = _local_pm_parts(m, gamma, lam)
+    local = pm / (lam * dpm)
+    cancel = 1.0 if m == 1 else _sp.gammainc(m - 1, lam / 2.0) / pm
+    flip = (pe + (1.0 - 2.0 * pe) * pm) / ((1.0 - 2.0 * pe) * pm)
+    return float(max(qm / (lam * slope), cancel * local, flip * local))
+
+
+def crossing_error(k, n, m, gamma, pe, q):
+    """Distance of q from the exact crossing of rules n and n+1, in Brent tolerances 1e-15 + 8.9e-16 q: one
+    Newton step on the exact gap qf[n+1] - qf[n], each rule at its exact threshold for miss level q."""
+    lam = roc._lambda_for_qm(k, np.array([n, n + 1]), m, gamma, pe, np.array([q, q]))
+
+    def gap(level):
+        return (exact_false_alarm(k, n + 1, m, pe, exact_threshold(k, n + 1, m, gamma, pe, level, lam[1]))
+                - exact_false_alarm(k, n, m, pe, exact_threshold(k, n, m, gamma, pe, level, lam[0])))
+
+    with mp.workdps(40):
+        h = mp.mpf(q) * mp.mpf(10) ** -12
+        slope = (gap(q + h) - gap(q - h)) / (2 * h)
+        return float(abs(gap(mp.mpf(q)) / slope)) / (1e-15 + 8.9e-16 * q)
+
+
 def bit_error(snr_r_db):
     return float(channel_from_snr_db(snr_r_db).pe)
 
@@ -105,32 +174,71 @@ def targets_between(k, pe, ns, fractions):
     return ns[keep], target[keep]
 
 
-@PROPERTY
+def random_targets(k, m, gamma, pe, rng, size):
+    """Rules, targets spread over their spans, and their thresholds from one lambda_for_qm call."""
+    ns, target = targets_between(k, pe, rng.integers(1, k + 1, size=size), rng.random(size))
+    return ns, target, roc._lambda_for_qm(k, ns, m, gamma, pe, target)
+
+
+@settings(PROPERTY, max_examples=100)
 @given(scenarios, st.integers(0, 2**32 - 1))
-def test_inversion_is_bit_equal_to_the_bisection(scenario, seed):
+def test_inversion_is_within_128_ulps_of_the_mpmath_root(scenario, seed):
     k, m, snr_db, snr_r_db = scenario
     gamma, pe = 10.0 ** (snr_db / 10.0), 0.0 if snr_r_db is None else bit_error(snr_r_db)
-    rng = np.random.default_rng(seed)
-    ns = rng.integers(1, k + 1, size=48)
-    # spread over the span, and within 1e-9 (relative to the span) of both ends
-    fractions = np.concatenate([rng.random(32), rng.uniform(0.0, 1e-9, 8), 1.0 - rng.uniform(0.0, 1e-9, 8)])
-    ns, target = targets_between(k, pe, ns, fractions)
-    got = roc._lambda_for_qm(k, ns, m, gamma, pe, target)
-    want = bisection_oracle(k, ns, m, gamma, pe, target)
-    assert got.tobytes() == want.tobytes(), np.flatnonzero(got != want)
+    ns, target, lam = random_targets(k, m, gamma, pe, np.random.default_rng(seed), 4)
+    for n, t, x in zip(ns.tolist(), target.tolist(), lam.tolist()):
+        if amplification(k, n, m, gamma, pe, x) <= AMPLIFICATION:
+            assert ulps_off(k, n, m, gamma, pe, t, x) <= ULPS, (n, t, x)
+
+
+def test_newton_is_closer_to_the_mpmath_root_than_the_bisection():
+    rng, newton, bisection = np.random.default_rng(11), [], []
+    for _ in range(80):
+        k, m, gamma = int(rng.integers(2, 13)), int(rng.integers(1, 17)), 10.0 ** rng.uniform(-0.5, 3.0)
+        pe = bit_error(rng.uniform(-3.0, 20.0))
+        ns, target, lam = random_targets(k, m, gamma, pe, rng, 1)
+        want = bisection_oracle(k, ns, m, gamma, pe, target)
+        newton.append(ulps_off(k, int(ns[0]), m, gamma, pe, target[0], lam[0]))
+        bisection.append(ulps_off(k, int(ns[0]), m, gamma, pe, target[0], want[0]))
+    newton, bisection = np.array(newton), np.array(bisection)
+    assert np.median(newton) < np.median(bisection)
+    assert (newton < bisection).sum() > (newton > bisection).sum()
+
+
+def test_targets_at_either_end_are_bisected_bit_for_bit():
+    for k, m, gamma, pe in [(8, 6, 10.0, bit_error(5.0)), (5, 1, 3.0, bit_error(-2.0)),
+                            (12, 16, 300.0, bit_error(18.0)), (4, 6, 100.0, 0.0)]:
+        ns = np.repeat(np.arange(1, k + 1), 2)
+        ns, target = targets_between(k, pe, ns, np.tile([1e-10, 1.0 - 1e-10], k))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert np.isnan(inv._predict(k, ns, m, gamma, pe, target)).all()
+            got = inv.lambda_for_qm(k, ns, m, gamma, pe, target)
+        assert got.tobytes() == bisection_oracle(k, ns, m, gamma, pe, target).tobytes()
+
+
+def assert_crossings_balance(table, k, m, gamma, pe):
+    """Entries where the bisection scan finds a crossing balance the two rules' qf within TOLERANCES of
+    mpmath's crossing, or no worse than the scan's; every other entry is the scan's."""
+    want = crossover_entries_oracle(k, m, gamma, pe)
+    for n, q in table.entries.items():
+        if math.isfinite(want[n]) and want[n] != _fused_qm(k, n + 1, 0.0, pe):
+            error = crossing_error(k, n, m, gamma, pe, q)
+            assert error <= TOLERANCES or error <= crossing_error(k, n, m, gamma, pe, want[n]), (n, q, error)
+        else:
+            assert q == want[n], n
 
 
 @settings(PROPERTY, max_examples=12)
 @given(scenarios)
-def test_crossover_table_is_bit_equal_to_the_bisection_scan(scenario):
+def test_crossover_entries_balance_the_two_rules_qf(scenario):
     k, m, snr_db, snr_r_db = scenario
-    k = min(k, 6)  # the oracle scan bisects 800 points per rule pair
+    k = min(k, 6)  # the oracle scan bisects 800 points per rule pair, and each crossing takes six mpmath roots
     gamma = 10.0 ** (snr_db / 10.0)
     channel = perfect_channel() if snr_r_db is None else channel_from_snr_db(snr_r_db)
     pe = float(channel.pe)
     table = roc.crossover_table(k, SensingParams(samples_m=m, threshold_lambda=0.0, avg_snr_gamma=gamma), channel)
-    want = crossover_entries_oracle(k, m, gamma, pe)
-    assert {n: float(v).hex() for n, v in table.entries.items()} == {n: v.hex() for n, v in want.items()}
+    assert_crossings_balance(table, k, m, gamma, pe)
 
 
 @pytest.mark.parametrize("k, m, snr_db, snr_r_db", [(4, 6, 20.0, 10.0), (8, 6, 10.0, 0.0), (6, 1, 3.0, 5.0),
@@ -138,22 +246,12 @@ def test_crossover_table_is_bit_equal_to_the_bisection_scan(scenario):
 def test_crossover_table_matches_the_oracle_on_known_cases(k, m, snr_db, snr_r_db):
     gamma, channel = 10.0 ** (snr_db / 10.0), channel_from_snr_db(snr_r_db)
     table = roc.crossover_table(k, SensingParams(samples_m=m, threshold_lambda=0.0, avg_snr_gamma=gamma), channel)
-    want = crossover_entries_oracle(k, m, gamma, float(channel.pe))
-    assert {n: float(v).hex() for n, v in table.entries.items()} == {n: v.hex() for n, v in want.items()}
-
-
-def test_certified_windows_bracket_the_bisection():
-    k, m, gamma, pe = 8, 6, 10.0, bit_error(5.0)
-    ns, target = targets_between(k, pe, np.repeat(np.arange(1, k + 1), 40), np.tile(np.linspace(0.01, 0.99, 40), k))
-    a, _, b = inv.windows(k, ns, m, gamma, pe, target)
-    lam = bisection_oracle(k, ns, m, gamma, pe, target)
-    assert np.isfinite(a).all() and np.isfinite(b).all()
-    assert (a < lam).all() and (lam <= b + 2.0 * (inv._LAMBDA_XTOL + inv._LAMBDA_RTOL * b)).all()
-    assert np.median((b - a) / lam) < 1e-9
+    assert_crossings_balance(table, k, m, gamma, float(channel.pe))
 
 
 class TestChannelLimits:
-    """optimal-n bytes at the two channel limits, as written by the full bisection (commit 211637d)."""
+    """optimal-n bytes at the two channel limits. The scrambled ones are as written by the full bisection
+    (commit 211637d), which nothing inverts there; perfect-json prints the Newton thresholds' repr."""
 
     GOLDEN = {
         # pe == 0.5 exactly: every miss is flat in lam, so nothing is inverted
@@ -162,7 +260,7 @@ class TestChannelLimits:
             "json": "0899fcddf4190270a68eb2f999f451cc4e394fac663aab5ce74e9642db65f875"}),
         "perfect": (["--k", "8", "--perfect-report", "--target-qm", "0.046"], {
             "csv": "b50708dec20ec92893584b4fc14d949fa07efcdb838bbb5538f6c29749e8c193",
-            "json": "39a68ebf74d9525182d49bdd6333210247708b83e163f06a9b6e2954a89256c5"}),
+            "json": "6885bc80f1fa94389aaff11793a1fe633262b5bd307de02394caa015749efbf4"}),
     }
 
     @pytest.mark.parametrize("fmt", ["csv", "json"])
@@ -182,8 +280,8 @@ def test_scrambled_channel_skips_the_prediction_silently():
     target = _fused_qm(k, ns, 0.5, 0.5) * 1.5
     with warnings.catch_warnings(), np.errstate(all="raise"):
         warnings.simplefilter("error")
-        lam, width = inv._predict(k, ns, 6, 10.0, 0.5, target)
-    assert np.isnan(lam).all() and np.isinf(width).all()
+        lam = inv._predict(k, ns, 6, 10.0, 0.5, target)
+    assert np.isnan(lam).all()
 
 
 class TestMathAgainstMpmath:
@@ -230,39 +328,9 @@ class TestMathAgainstMpmath:
                     return mp.gammainc(m - 1, 0, lam / 2, regularized=True) - fade
 
                 for lam in (0.05, 1.0, 2.0 * m, 8.0 * m + 4.0 * gamma):
-                    _, slope, _ = _local_pm_parts(m, gamma, lam)
+                    _, slope = _local_pm_parts(m, gamma, lam)
                     exact = mp.diff(pm, mp.mpf(lam))
                     assert abs(mp.mpf(float(slope)) / exact - 1) < 1e-12, (gamma, lam)
-
-
-class TestErrorModel:
-    """The kernels the certificate trusts stay inside its relative error bound _ETA wherever the
-    exact value is above 1e-280; below that only the absolute floor _FLOOR is assumed."""
-
-    def test_kernels_within_half_the_bound(self):
-        rng = np.random.default_rng(7)
-        worst = 0.0
-        with mp.workdps(40):
-            for _ in range(400):
-                m, gamma = int(rng.integers(1, 17)), float(10.0 ** rng.uniform(-0.5, 3.0))
-                lam = float(2.0 * _sp.gammainccinv(m, 1e-9) * 2.0 ** rng.uniform(-16.0, 10.0))
-                lm, g = mp.mpf(lam), mp.mpf(gamma)
-                c = 2 + 2 * g
-                pairs = [(_sp.gammaincc(m, lam / 2.0), mp.gammainc(m, lm / 2, mp.inf, regularized=True))]
-                if m == 1:
-                    pairs.append((-np.expm1(-lam / (2.0 + 2.0 * gamma)), -mp.expm1(-lm / c)))
-                else:
-                    fade = ((1 + g) / g) ** (m - 1) * mp.exp(-lm / c) * mp.gammainc(m - 1, 0, lm * g / c,
-                                                                                   regularized=True)
-                    pairs += [(_local_pm_parts(m, gamma, lam)[2], mp.gammainc(m - 1, 0, lm / 2, regularized=True)),
-                              (_fade(m, gamma, lam), fade)]
-                k = int(rng.integers(1, 13))
-                n, x = int(rng.integers(1, k + 1)), float(10.0 ** rng.uniform(-15.0, -1e-3))
-                pairs.append((_sp.betainc(k - n + 1, n, x), upper_tail(k - n + 1, n, x)))
-                for got, exact in pairs:
-                    if exact > 1e-280:
-                        worst = max(worst, float(abs(mp.mpf(float(got)) / exact - 1)))
-        assert worst < inv._ETA / 2
 
 
 class TestTieTolerance:
