@@ -14,12 +14,13 @@ boundary. Exit codes: 0 success, 2 configuration error, 3 output I/O error,
 from __future__ import annotations
 
 import argparse
+import contextlib
 import functools
 import json
 import math
 import sys
 from dataclasses import replace
-from typing import NamedTuple, Optional, Sequence
+from typing import Callable, NamedTuple, Optional, Sequence
 
 import numpy as np
 
@@ -205,6 +206,8 @@ def _parse_grid(text: str, field: str):
         lo, hi, count = float(parts[0]), float(parts[1]), int(parts[2])
     except ValueError as err:
         raise ConfigError(f"{field}: expected lo:hi:count, got {text!r}") from err
+    if not (math.isfinite(lo) and math.isfinite(hi)):
+        raise ConfigError(f"{field}: lo and hi must be finite, got {text!r}")
     if count < 1:
         raise ConfigError(f"{field}: count must be >= 1, got {count}")
     if count == 1 and lo != hi:
@@ -221,26 +224,37 @@ def _lambda(cfg: dict) -> float:
     return lam
 
 
-def _lambda_values(cfg: dict, samples_m: int) -> list[float]:
+def _lambda_values(cfg: dict, samples_m: int) -> np.ndarray:
+    """The sweep's thresholds, strictly increasing."""
     given = [key for key in ("lambda", "lambda_grid", "pf_grid") if key in cfg]
     if len(given) != 1:
         raise ConfigError("lambda: give exactly one of lambda, lambda_grid, pf_grid, "
                           f"got {given or 'none'}")
     if "lambda" in cfg:
-        return [_lambda(cfg)]
-    if "lambda_grid" in cfg:
-        lo, hi, count = _parse_grid(cfg["lambda_grid"], "lambda_grid")
+        return np.array([_lambda(cfg)])
+    field = given[0]
+    lo, hi, count = _parse_grid(cfg[field], field)
+    if field == "lambda_grid":
         if lo < 0:
             raise ConfigError(f"lambda_grid: thresholds must be >= 0, got lo={lo}")
-        return [float(v) for v in np.linspace(lo, hi, count)]
-    lo, hi, count = _parse_grid(cfg["pf_grid"], "pf_grid")
-    if not (0.0 < lo < 1.0 and 0.0 < hi < 1.0):
-        raise ConfigError(f"pf_grid: probabilities must lie strictly inside (0, 1), got {cfg['pf_grid']!r}")
-    return sorted(_threshold_for_pf(samples_m, np.geomspace(lo, hi, count)).tolist())
+        lambdas = np.linspace(lo, hi, count)
+    else:
+        if not (0.0 < lo < 1.0 and 0.0 < hi < 1.0):
+            raise ConfigError(f"pf_grid: probabilities must lie strictly inside (0, 1), got {cfg[field]!r}")
+        lambdas = np.sort(_threshold_for_pf(samples_m, np.geomspace(lo, hi, count)))
+    if not np.all(lambdas[1:] > lambdas[:-1]):
+        raise ConfigError(f"{field}: the grid's thresholds must be distinct, got {cfg[field]!r}")
+    return lambdas
 
 
 # ---------------------------------------------------------------------------
 # output
+
+# Thresholds per write: the sweep writer formats one rule's rows over at most
+# this many thresholds at a time, so the text it holds does not depend on the
+# size of the sweep.
+_BLOCK_ROWS = 1 << 12
+
 
 def _fmt(value) -> str:
     if isinstance(value, bool):
@@ -254,75 +268,122 @@ def _json_value(value):
     return "inf" if isinstance(value, float) and math.isinf(value) else value
 
 
-def _csv(columns: list[str], lines: list[str]) -> str:
-    return "\n".join([",".join(columns), *lines]) + "\n"
+def _json_texts(values: np.ndarray) -> list[str]:
+    """Each float as ``json.dumps`` writes ``_json_value`` of it: repr, NaN, or the string "inf"."""
+    texts = list(map(repr, values.tolist()))
+    for i in np.flatnonzero(~np.isfinite(values)):
+        texts[i] = "NaN" if math.isnan(values[i]) else '"inf"'
+    return texts
 
 
-def _json(payload) -> str:
-    return json.dumps(payload, indent=2) + "\n"
+class _Format(NamedTuple):
+    """How an output format spells a sweep.
+
+    The file is ``head`` (given the comma-joined column names), the rows, and
+    ``tail``. A row is ``open`` + its fields joined by ``sep`` + ``close``, and
+    the file's first row drops its first ``skip`` characters. ``field`` spells
+    one field from its column name and text. A float is the %-directive
+    ``number`` applied to what ``texts`` makes of its array.
+    """
+
+    head: str
+    open: str
+    sep: str
+    close: str
+    tail: str
+    skip: int
+    field: str
+    number: str
+    texts: Callable[[np.ndarray], list]
+
+    def fields(self, columns, texts) -> str:
+        return self.sep.join(self.field.format(c, t) for c, t in zip(columns, texts))
+
+    def strings(self, values) -> list[str]:
+        """The text of each float in ``values``."""
+        return [self.number % v for v in self.texts(np.asarray(values, dtype=float))]
 
 
-def _write(text: str, out: Optional[str]) -> None:
-    if out is None:
-        sys.stdout.write(text)
-    else:
-        with open(out, "w", encoding="utf-8", newline="") as fh:
-            fh.write(text)
+# '%.12g' % x == _fmt(x) for every float x, and the JSON layout is json.dumps(rows, indent=2)
+_FORMATS = {
+    "csv": _Format("{}\n", "", ",", "\n", "", 0, "{1}", "%.12g", np.ndarray.tolist),
+    "json": _Format("[", ",\n  {\n", ",\n", "\n  }", "\n]\n", 1, '    "{0}": {1}', "%s", _json_texts),
+}
 
 
 class _Sweep(NamedTuple):
-    """The analytic columns of a sweep, one row per (rule n, threshold λ), n outermost.
+    """The columns of an analytic sweep, one row per (rule n, threshold λ), n outermost.
 
-    ``points`` holds (lambda, pf_local, pm_local, pe) per λ and ``rules`` holds
-    (n, qf per λ, qm per λ, qf_floor, qm_floor) per rule, so a value shared by
-    many rows is stored, and formatted, once.
+    Per threshold it holds λ, pf_local and pm_local; per rule the two floors.
+    A rule's qf and qm are computed by :meth:`fused` a block of thresholds at
+    a time, so no column holds rules × thresholds values.
     """
 
-    points: list[tuple]
-    rules: list[tuple]
+    k: int
+    ns: list[int]
+    pe: float
+    lambdas: np.ndarray
+    pf: np.ndarray
+    pm: np.ndarray
+    qf_floor: np.ndarray
+    qm_floor: np.ndarray
 
-    def rows(self) -> list[tuple]:
-        """The values of each row, in ``ROC_COLUMNS`` order."""
-        return [(n, *point, f, q, qf_floor, qm_floor)
-                for n, qf, qm, qf_floor, qm_floor in self.rules
-                for point, f, q in zip(self.points, qf, qm)]
+    @classmethod
+    def of(cls, k: int, ns: list[int], sensing: SensingParams, channel: ReportChannel,
+           lambdas: np.ndarray) -> "_Sweep":
+        m, pe, rules = sensing.samples_m, float(channel.pe), np.array(ns)
+        return cls(k, ns, pe, lambdas, _local_pf(m, lambdas),
+                   _local_pm(m, sensing.avg_snr_gamma, lambdas),
+                   _fused_qf(k, rules, 0.0, pe), _fused_qm(k, rules, 0.0, pe))
 
-    def csv_lines(self) -> list[str]:
-        """The CSV line of each row, equal to joining ``_fmt`` of its values."""
-        points = [",".join(map(_fmt, point)) for point in self.points]
-        lines = []
-        for n, qf, qm, qf_floor, qm_floor in self.rules:
-            # '%.12g' % x == _fmt(x) for every float x; no formatted value contains '%'
-            template = f"{n},%s,%.12g,%.12g,{_fmt(qf_floor)},{_fmt(qm_floor)}"
-            lines += [template % cell for cell in zip(points, qf, qm)]
-        return lines
-
-
-def _analytic_sweep(k: int, ns: list[int], sensing: SensingParams, channel: ReportChannel,
-                    lambdas: list[float]) -> _Sweep:
-    m, pe = sensing.samples_m, float(channel.pe)
-    pf = _local_pf(m, lambdas)
-    pm = _local_pm(m, sensing.avg_snr_gamma, lambdas)
-    points = [(lam, a, b, pe) for lam, a, b in zip(lambdas, pf.tolist(), pm.tolist())]
-    rules = [(n, _fused_qf(k, n, pf, pe).tolist(), _fused_qm(k, n, pm, pe).tolist(),
-              float(_fused_qf(k, n, 0.0, pe)), float(_fused_qm(k, n, 0.0, pe))) for n in ns]
-    return _Sweep(points, rules)
+    def fused(self, n: int, rows: slice) -> tuple[np.ndarray, np.ndarray]:
+        """qf and qm of rule ``n`` at the thresholds ``rows``."""
+        return _fused_qf(self.k, n, self.pf[rows], self.pe), _fused_qm(self.k, n, self.pm[rows], self.pe)
 
 
-def _emit_sweep(sweep: _Sweep, out: Optional[str], fmt: str, sim_fields=None) -> None:
-    """Write ``sweep`` as CSV or JSON; ``sim_fields`` appends the Monte Carlo columns to each row."""
-    columns = ROC_COLUMNS if sim_fields is None else SIM_COLUMNS
-    if fmt == "csv":
-        lines = sweep.csv_lines()
-        if sim_fields is not None:
-            lines = [f"{line},{','.join(map(_fmt, fields))}" for line, fields in zip(lines, sim_fields)]
-        text = _csv(columns, lines)
+def _write_sweep(fh, fmt: str, sweep: _Sweep, sim: Optional[np.ndarray] = None) -> None:
+    """Stream ``sweep`` to ``fh`` as CSV or JSON, one write per rule and block of thresholds.
+
+    ``sim``, the six Monte Carlo fields indexed [field, rule, threshold],
+    appends them to each row. Beyond ``sweep`` the writer holds one point text
+    (lambda, pf_local, pm_local, pe) per threshold, formatted once for every
+    rule, and the rows of one block.
+    """
+    f = _FORMATS[fmt]
+    columns = ROC_COLUMNS if sim is None else SIM_COLUMNS
+    blocks = [slice(i, i + _BLOCK_ROWS) for i in range(0, len(sweep.lambdas), _BLOCK_ROWS)]
+    point = f.fields(columns[1:5], [f.number] * 3 + f.strings([sweep.pe]))
+    points = [[point % v for v in zip(f.texts(sweep.lambdas[b]), f.texts(sweep.pf[b]), f.texts(sweep.pm[b]))]
+              for b in blocks]
+    sim_fields = [] if sim is None else [f.number] * 4 + ["%d"] * 2
+    width = 3 + len(sim_fields)
+    fh.write(f.head.format(",".join(columns)))
+    skip = f.skip
+    for r, (n, qf_floor, qm_floor) in enumerate(zip(sweep.ns, f.strings(sweep.qf_floor),
+                                                   f.strings(sweep.qm_floor))):
+        rest = f.fields(columns[5:], [f.number, f.number, qf_floor, qm_floor, *sim_fields])
+        row = f.open + f.sep.join([f.field.format("n", n), "%s", rest]) + f.close
+        for b, texts in zip(blocks, points):
+            values = [None] * (width * len(texts))
+            values[0::width] = texts
+            values[1::width], values[2::width] = map(f.texts, sweep.fused(n, b))
+            if sim is not None:
+                rates, counts = sim[:4, r, b], sim[4:, r, b]
+                for j, column in enumerate([*map(f.texts, rates), *counts.tolist()], 3):
+                    values[j::width] = column
+            fh.write((row * len(texts) % tuple(values))[skip:])
+            skip = 0
+    fh.write(f.tail)
+
+
+@contextlib.contextmanager
+def _output(out: Optional[str]):
+    """The text stream that ``--out`` names, or stdout when it is not given."""
+    if out is None:
+        yield sys.stdout
     else:
-        rows = sweep.rows()
-        if sim_fields is not None:
-            rows = [row + fields for row, fields in zip(rows, sim_fields)]
-        text = _json([dict(zip(columns, map(_json_value, row))) for row in rows])
-    _write(text, out)
+        with open(out, "w", encoding="utf-8", newline="") as fh:
+            yield fh
 
 
 # ---------------------------------------------------------------------------
@@ -335,12 +396,14 @@ def cmd_analyze(cfg: dict) -> int:
         raise ConfigError(f"n: analyze takes exactly one vote threshold, got {ns}")
     sensing = _sensing_template(cfg)
     channel = _channel(cfg)
-    sweep = _analytic_sweep(k, ns, sensing, channel, [_lambda(cfg)])
-    row = dict(zip(ROC_COLUMNS, sweep.rows()[0]))
-    for key in ("pf_local", "pm_local", "pe", "qf", "qm", "qf_floor", "qm_floor"):
-        print(f"{key} = {_fmt(row[key])}")
+    sweep = _Sweep.of(k, ns, sensing, channel, np.array([_lambda(cfg)]))
+    qf, qm = sweep.fused(ns[0], slice(None))
+    values = (sweep.pf[0], sweep.pm[0], sweep.pe, qf[0], qm[0], sweep.qf_floor[0], sweep.qm_floor[0])
+    for key, value in zip(ROC_COLUMNS[2:], values):
+        print(f"{key} = {_fmt(value)}")
     if cfg.get("out") is not None:
-        _emit_sweep(sweep, cfg["out"], cfg["format"])
+        with _output(cfg["out"]) as fh:
+            _write_sweep(fh, cfg["format"], sweep)
     return EXIT_OK
 
 
@@ -349,8 +412,9 @@ def cmd_roc(cfg: dict) -> int:
     ns = _vote_list(cfg, k)
     sensing = _sensing_template(cfg)
     channel = _channel(cfg)
-    lambdas = _lambda_values(cfg, sensing.samples_m)
-    _emit_sweep(_analytic_sweep(k, ns, sensing, channel, lambdas), cfg.get("out"), cfg["format"])
+    sweep = _Sweep.of(k, ns, sensing, channel, _lambda_values(cfg, sensing.samples_m))
+    with _output(cfg.get("out")) as fh:
+        _write_sweep(fh, cfg["format"], sweep)
     return EXIT_OK
 
 
@@ -365,24 +429,21 @@ def cmd_simulate(cfg: dict) -> int:
     workers = cfg.get("workers", 1)
     if not isinstance(workers, int) or workers < 1:
         raise ConfigError(f"workers: must be a positive integer, got {workers!r}")
+    first = replace(sensing, threshold_lambda=float(lambdas[0]))
+    fusion = FusionConfig(num_radios_k=k, vote_threshold_n=ns[0])
     try:
-        scenario = SimScenario(
-            sensing=replace(sensing, threshold_lambda=lambdas[0]),
-            channel=channel,
-            fusion=FusionConfig(num_radios_k=k, vote_threshold_n=ns[0]),
-            trials=trials,
-            seed=seed,
-        )
+        scenario = SimScenario(sensing=first, channel=channel, fusion=fusion, trials=trials, seed=seed)
     except ValueError as err:
         field = "trials" if "trials" in str(err) else "seed"
         raise ConfigError(f"{field}: {err}") from err
     grid = run_grid(scenario, lambdas, ns, workers=workers)
-    # grid is indexed [λ][n] and the rows run n outermost
-    points = [sim.point for rule in zip(*grid) for sim in rule]
-    sim_fields = [(float(pt.qf), float(pt.qm), pt.qf_stderr, pt.qm_stderr, pt.trials_h0, pt.trials_h1)
-                  for pt in points]
-    _emit_sweep(_analytic_sweep(k, ns, sensing, channel, lambdas), cfg.get("out"), cfg["format"],
-                sim_fields)
+    # grid is indexed [λ][n]; the writer takes each Monte Carlo field indexed [n, λ],
+    # since its rows run n outermost
+    sim = np.array([[(pt.qf, pt.qm, pt.qf_stderr, pt.qm_stderr, pt.trials_h0, pt.trials_h1)
+                     for pt in (cell.point for cell in row)] for row in grid]).transpose(2, 1, 0)
+    sweep = _Sweep.of(k, ns, sensing, channel, lambdas)
+    with _output(cfg.get("out")) as fh:
+        _write_sweep(fh, cfg["format"], sweep, sim)
     return EXIT_OK
 
 
@@ -414,10 +475,11 @@ def cmd_optimal_n(cfg: dict) -> int:
         print(f"{key} = {_fmt(value)}")
     if cfg.get("out") is not None:
         if cfg["format"] == "csv":
-            text = _csv(["key", "value"], [f"{key},{_fmt(value)}" for key, value in lines])
+            text = "key,value\n" + "".join(f"{key},{_fmt(value)}\n" for key, value in lines)
         else:
-            text = _json({key: _json_value(value) for key, value in lines})
-        _write(text, cfg["out"])
+            text = json.dumps({key: _json_value(value) for key, value in lines}, indent=2) + "\n"
+        with _output(cfg["out"]) as fh:
+            fh.write(text)
     return EXIT_OK
 
 
