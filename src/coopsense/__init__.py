@@ -9,7 +9,6 @@ selection of the vote threshold for a target miss-detection probability.
 
 from .fusion import (
     FusionConfig,
-    PerfPoint,
     asymptotic_qf,
     asymptotic_qm,
     fused_qf,
@@ -17,19 +16,16 @@ from .fusion import (
 )
 from .local_sensing import SensingParams, local_pd, local_pf, local_pm, threshold_for_pf
 from .mathx import Probability, db_to_linear, gaussian_q
-from .montecarlo import SimResult, SimScenario, run_grid, run_sim
+from .montecarlo import SimGrid, SimScenario, run_grid
 from .reporting import ReportChannel, channel_from_snr_db, perfect_channel
 from .roc import (
     CrossoverTable,
     InfeasibleTargetError,
     NoCrossoverError,
     OptimalRule,
-    RocCurve,
-    analytic_roc,
+    RocSweep,
     crossover_table,
-    operating_point,
     optimal_n,
-    qf_at_qm,
     qm_star,
 )
 
@@ -40,10 +36,9 @@ __all__ = [
     "SensingParams",
     "ReportChannel",
     "FusionConfig",
-    "PerfPoint",
     "SimScenario",
-    "SimResult",
-    "RocCurve",
+    "SimGrid",
+    "RocSweep",
     "CrossoverTable",
     "OptimalRule",
     "NoCrossoverError",
@@ -60,11 +55,7 @@ __all__ = [
     "fused_qm",
     "asymptotic_qf",
     "asymptotic_qm",
-    "run_sim",
     "run_grid",
-    "operating_point",
-    "analytic_roc",
-    "qf_at_qm",
     "qm_star",
     "crossover_table",
     "optimal_n",

@@ -24,12 +24,12 @@ from typing import Callable, NamedTuple, Optional, Sequence
 
 import numpy as np
 
-from .fusion import FusionConfig, _fused_qf, _fused_qm
-from .local_sensing import SensingParams, _local_pf, _local_pm, _threshold_for_pf
+from .fusion import FusionConfig
+from .local_sensing import SensingParams, _threshold_for_pf
 from .mathx import db_to_linear
-from .montecarlo import SimScenario, run_grid
+from .montecarlo import SimGrid, SimScenario, run_grid
 from .reporting import ReportChannel, channel_from_snr_db, perfect_channel
-from .roc import InfeasibleTargetError, optimal_n
+from .roc import InfeasibleTargetError, RocSweep, optimal_n
 
 EXIT_OK = 0
 EXIT_CONFIG = 2
@@ -52,11 +52,12 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p, grids=False):
+    def common(p, grids=False, votes=True):
         p.add_argument("--config", help="flat key = value config file; flags win over it")
         p.add_argument("--k", type=int, help="number of cooperating radios K")
-        p.add_argument("--n", type=int, action="append",
-                       help="vote threshold n (repeatable where a rule sweep makes sense)")
+        if votes:  # optimal-n picks the rule itself
+            p.add_argument("--n", type=int, action="append",
+                           help="vote threshold n (repeatable where a rule sweep makes sense)")
         p.add_argument("--samples-m", type=int, help="energy detector samples per sensing event M")
         p.add_argument("--snr-db", type=float, help="average sensing SNR in dB")
         p.add_argument("--report-snr-db", type=float, help="reporting channel SNR in dB")
@@ -83,7 +84,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--workers", type=int, help="worker threads; the output does not depend on it")
 
     p = sub.add_parser("optimal-n", help="adaptive vote threshold for a target miss probability")
-    common(p)
+    common(p, votes=False)
     p.add_argument("--target-qm", type=float, help="target fused miss-detection probability")
     return parser
 
@@ -311,41 +312,11 @@ _FORMATS = {
 }
 
 
-class _Sweep(NamedTuple):
-    """The columns of an analytic sweep, one row per (rule n, threshold λ), n outermost.
-
-    Per threshold it holds λ, pf_local and pm_local; per rule the two floors.
-    A rule's qf and qm are computed by :meth:`fused` a block of thresholds at
-    a time, so no column holds rules × thresholds values.
-    """
-
-    k: int
-    ns: list[int]
-    pe: float
-    lambdas: np.ndarray
-    pf: np.ndarray
-    pm: np.ndarray
-    qf_floor: np.ndarray
-    qm_floor: np.ndarray
-
-    @classmethod
-    def of(cls, k: int, ns: list[int], sensing: SensingParams, channel: ReportChannel,
-           lambdas: np.ndarray) -> "_Sweep":
-        m, pe, rules = sensing.samples_m, float(channel.pe), np.array(ns)
-        return cls(k, ns, pe, lambdas, _local_pf(m, lambdas),
-                   _local_pm(m, sensing.avg_snr_gamma, lambdas),
-                   _fused_qf(k, rules, 0.0, pe), _fused_qm(k, rules, 0.0, pe))
-
-    def fused(self, n: int, rows: slice) -> tuple[np.ndarray, np.ndarray]:
-        """qf and qm of rule ``n`` at the thresholds ``rows``."""
-        return _fused_qf(self.k, n, self.pf[rows], self.pe), _fused_qm(self.k, n, self.pm[rows], self.pe)
-
-
-def _write_sweep(fh, fmt: str, sweep: _Sweep, sim: Optional[np.ndarray] = None) -> None:
+def _write_sweep(fh, fmt: str, sweep: RocSweep, sim: Optional[SimGrid] = None) -> None:
     """Stream ``sweep`` to ``fh`` as CSV or JSON, one write per rule and block of thresholds.
 
-    ``sim``, the six Monte Carlo fields indexed [field, rule, threshold],
-    appends them to each row. Beyond ``sweep`` the writer holds one point text
+    ``sim``, a Monte Carlo run of the same rules and thresholds, appends its
+    first six fields to each row. Beyond ``sweep`` the writer holds one point text
     (lambda, pf_local, pm_local, pe) per threshold, formatted once for every
     rule, and the rows of one block.
     """
@@ -368,8 +339,9 @@ def _write_sweep(fh, fmt: str, sweep: _Sweep, sim: Optional[np.ndarray] = None) 
             values[0::width] = texts
             values[1::width], values[2::width] = map(f.texts, sweep.fused(n, b))
             if sim is not None:
-                rates, counts = sim[:4, r, b], sim[4:, r, b]
-                for j, column in enumerate([*map(f.texts, rates), *counts.tolist()], 3):
+                rates, counts = sim[:4], sim[4:6]
+                for j, column in enumerate([*(f.texts(v[r, b]) for v in rates),
+                                            *(v[r, b].tolist() for v in counts)], 3):
                     values[j::width] = column
             fh.write((row * len(texts) % tuple(values))[skip:])
             skip = 0
@@ -396,7 +368,7 @@ def cmd_analyze(cfg: dict) -> int:
         raise ConfigError(f"n: analyze takes exactly one vote threshold, got {ns}")
     sensing = _sensing_template(cfg)
     channel = _channel(cfg)
-    sweep = _Sweep.of(k, ns, sensing, channel, np.array([_lambda(cfg)]))
+    sweep = RocSweep.of(k, ns, sensing, channel, np.array([_lambda(cfg)]))
     qf, qm = sweep.fused(ns[0], slice(None))
     values = (sweep.pf[0], sweep.pm[0], sweep.pe, qf[0], qm[0], sweep.qf_floor[0], sweep.qm_floor[0])
     for key, value in zip(ROC_COLUMNS[2:], values):
@@ -412,7 +384,7 @@ def cmd_roc(cfg: dict) -> int:
     ns = _vote_list(cfg, k)
     sensing = _sensing_template(cfg)
     channel = _channel(cfg)
-    sweep = _Sweep.of(k, ns, sensing, channel, _lambda_values(cfg, sensing.samples_m))
+    sweep = RocSweep.of(k, ns, sensing, channel, _lambda_values(cfg, sensing.samples_m))
     with _output(cfg.get("out")) as fh:
         _write_sweep(fh, cfg["format"], sweep)
     return EXIT_OK
@@ -437,13 +409,9 @@ def cmd_simulate(cfg: dict) -> int:
         field = "trials" if "trials" in str(err) else "seed"
         raise ConfigError(f"{field}: {err}") from err
     grid = run_grid(scenario, lambdas, ns, workers=workers)
-    # grid is indexed [λ][n]; the writer takes each Monte Carlo field indexed [n, λ],
-    # since its rows run n outermost
-    sim = np.array([[(pt.qf, pt.qm, pt.qf_stderr, pt.qm_stderr, pt.trials_h0, pt.trials_h1)
-                     for pt in (cell.point for cell in row)] for row in grid]).transpose(2, 1, 0)
-    sweep = _Sweep.of(k, ns, sensing, channel, lambdas)
+    sweep = RocSweep.of(k, ns, sensing, channel, lambdas)
     with _output(cfg.get("out")) as fh:
-        _write_sweep(fh, cfg["format"], sweep, sim)
+        _write_sweep(fh, cfg["format"], sweep, grid)
     return EXIT_OK
 
 

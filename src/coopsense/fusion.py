@@ -10,7 +10,6 @@ asymptotic floors at high reporting SNR.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional
 
 from scipy import special as _sp
 
@@ -18,7 +17,6 @@ from .mathx import Probability, as_probability
 
 __all__ = [
     "FusionConfig",
-    "PerfPoint",
     "fused_qf",
     "fused_qm",
     "asymptotic_qf",
@@ -40,42 +38,6 @@ class FusionConfig:
             raise ValueError(f"num_radios_k must be a positive integer, got {k!r}")
         if not isinstance(n, int) or not 1 <= n <= k:
             raise ValueError(f"vote_threshold_n must satisfy 1 <= n <= {k}, got {n!r}")
-
-
-@dataclass(frozen=True)
-class PerfPoint:
-    """A fused (false alarm, miss detection) operating point.
-
-    Analytical points carry no sampling error; empirical points carry the
-    per-hypothesis trial counts they were estimated from (at least one trial
-    in total) and binomial standard errors sqrt(p*(1-p)/N).
-    """
-
-    qf: Probability
-    qm: Probability
-    kind: str  # "analytical" or "empirical"
-    qf_stderr: float = 0.0
-    qm_stderr: float = 0.0
-    trials_h0: Optional[int] = None
-    trials_h1: Optional[int] = None
-
-    def __post_init__(self):
-        Probability(self.qf)
-        Probability(self.qm)
-        if self.kind == "analytical":
-            if self.qf_stderr != 0.0 or self.qm_stderr != 0.0:
-                raise ValueError("analytical points have zero standard errors")
-            if self.trials_h0 is not None or self.trials_h1 is not None:
-                raise ValueError("analytical points carry no trial counts")
-        elif self.kind == "empirical":
-            if self.trials_h0 is None or self.trials_h1 is None:
-                raise ValueError("empirical points must carry trial counts")
-            if self.trials_h0 < 0 or self.trials_h1 < 0 or self.trials_h0 + self.trials_h1 < 1:
-                raise ValueError("empirical points need at least one trial")
-            if self.qf_stderr < 0.0 or self.qm_stderr < 0.0:
-                raise ValueError("standard errors must be nonnegative")
-        else:
-            raise ValueError(f"kind must be 'analytical' or 'empirical', got {self.kind!r}")
 
 
 def _flip(p, pe):
@@ -119,7 +81,8 @@ def asymptotic_qf(cfg: FusionConfig, pe) -> Probability:
     """False alarm floor as the local detector becomes perfect (pf -> 0).
 
     Residual false alarms are caused purely by report bit flips; strictly
-    decreasing in n. Equal to fused_qf at pf = 0 by construction.
+    decreasing in n. Equal to fused_qf at pf = 0 by construction. Public
+    because it names the paper's floor, which acceptance criterion 2 states.
     """
     return as_probability(_fused_qf(cfg.num_radios_k, cfg.vote_threshold_n, 0.0, float(Probability(pe))))
 
@@ -128,5 +91,6 @@ def asymptotic_qm(cfg: FusionConfig, pe) -> Probability:
     """Miss detection floor as the local detector becomes perfect (pm -> 0).
 
     Strictly increasing in n. Equal to fused_qm at pm = 0 by construction.
+    Public because it names the paper's floor, which acceptance criterion 2 states.
     """
     return as_probability(_fused_qm(cfg.num_radios_k, cfg.vote_threshold_n, 0.0, float(Probability(pe))))

@@ -52,19 +52,17 @@ import os
 from collections import deque
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
-from typing import Sequence
+from typing import NamedTuple, Sequence
 
 import numpy as np
 
-from .fusion import FusionConfig, PerfPoint
+from .fusion import FusionConfig
 from .local_sensing import SensingParams
-from .mathx import Probability
 from .reporting import ReportChannel
 
 __all__ = [
     "SimScenario",
-    "SimResult",
-    "run_sim",
+    "SimGrid",
     "run_grid",
 ]
 
@@ -99,20 +97,26 @@ class SimScenario:
             raise ValueError(f"seed must be a 64-bit unsigned integer, got {self.seed!r}")
 
 
-@dataclass(frozen=True)
-class SimResult:
-    """Aggregated rates from one simulated operating point.
+class SimGrid(NamedTuple):
+    """Empirical rates of every (vote rule, threshold) cell of a :func:`run_grid` sweep.
 
-    ``point`` holds the fused empirical rates with their binomial standard
-    errors and the trial count of each hypothesis. Per-radio rates are pooled
-    across radios; the report error rate is measured over every transmitted
-    bit. A hypothesis side with zero trials reports rate 0 with stderr 0.
+    The first six fields are indexed [rule, threshold]: the fused rates, their
+    binomial standard errors sqrt(p*(1-p)/N) and the trial count N of each
+    hypothesis, in the order of ``simulate``'s Monte Carlo columns. The last
+    three are indexed [threshold]: the per-radio rates, pooled across radios,
+    and the report error rate over every transmitted bit. A hypothesis side
+    with zero trials reports rate 0 with stderr 0.
     """
 
-    point: PerfPoint
-    per_radio_pf_hat: Probability
-    per_radio_pm_hat: Probability
-    report_error_rate_hat: Probability
+    qf_hat: np.ndarray
+    qm_hat: np.ndarray
+    qf_stderr: np.ndarray
+    qm_stderr: np.ndarray
+    trials_h0: np.ndarray
+    trials_h1: np.ndarray
+    pf_hat: np.ndarray
+    pm_hat: np.ndarray
+    report_error_rate_hat: np.ndarray
 
 
 def _rng(seed: int, chunk_index: int, stream: int) -> np.random.Generator:
@@ -173,7 +177,7 @@ def _tallies(radios, active: np.ndarray, lambdas: Sequence[float], n_values: Seq
     false_alarms, misses)``: the trial counts per hypothesis; per threshold,
     the asserted 1s over idle trials, the asserted 0s over active trials and
     the received bits that differ from the transmitted one, all summed over
-    radios; and per (threshold, rule), the fused false alarms and misses.
+    radios; and per (rule, threshold), the fused false alarms and misses.
     """
     n_lam = len(lambdas)
     width = n_lam + 1                  # c and r take values 0..L
@@ -210,8 +214,8 @@ def _tallies(radios, active: np.ndarray, lambdas: Sequence[float], n_values: Seq
     # a trial's vote reaches n at threshold li exactly when its n-th largest r exceeds li
     fused = np.stack([np.bincount(top[n - 1] + hyp, minlength=2 * width) for n in n_values])
     fused = fused.reshape(len(n_values), 2, width)
-    false_alarms = _above(fused[:, 0]).T
-    misses = _at_most(fused[:, 1]).T
+    false_alarms = _above(fused[:, 0])
+    misses = _at_most(fused[:, 1])
     return n_h0, n_h1, assert_h0, silent_h1, flips, false_alarms, misses
 
 
@@ -239,12 +243,12 @@ def _chunk_tallies(scenario: SimScenario, lambdas: Sequence[float], n_values: Se
     return _tallies(radios(), active, lambdas, n_values)
 
 
-def _rate(count: int, total: int) -> Probability:
-    return Probability(count / total) if total > 0 else Probability(0.0)
-
-
-def _stderr(p: float, total: int) -> float:
-    return math.sqrt(p * (1.0 - p) / total) if total > 0 else 0.0
+def _rates(counts: np.ndarray, total: int):
+    """counts / total and its binomial stderr sqrt(p*(1-p)/total), both 0 where total is 0."""
+    if total == 0:
+        return np.zeros(counts.shape), np.zeros(counts.shape)
+    p = counts / total
+    return p, np.sqrt(p * (1.0 - p) / total)
 
 
 def _sum_chunks(scenario: SimScenario, lambdas: list[float], n_values: list[int], workers: int):
@@ -271,13 +275,13 @@ def _pooled(workers: int, jobs):
 
 
 def run_grid(scenario: SimScenario, lambdas: Sequence[float], n_values: Sequence[int],
-             workers: int = 1) -> list[list[SimResult]]:
-    """Simulate every (threshold, vote rule) pair on shared random draws.
+             workers: int = 1) -> SimGrid:
+    """Simulate every (vote rule, threshold) pair on shared random draws.
 
-    Returns results indexed [lambda][n]. Sharing draws gives common random
-    numbers across the grid: a single-cell grid is bit-identical to the same
-    scenario run on its own, and empirical ROC curves are monotone in the
-    threshold realization by realization.
+    The scenario's own threshold and rule are not simulated unless listed.
+    Sharing draws gives common random numbers across the grid: a single-cell
+    grid is bit-identical to the same cell of any larger grid, and empirical
+    ROC curves are monotone in the threshold realization by realization.
     """
     lambdas = [float(v) for v in lambdas]
     if not lambdas or any(b <= a for a, b in zip(lambdas, lambdas[1:])):
@@ -293,34 +297,10 @@ def run_grid(scenario: SimScenario, lambdas: Sequence[float], n_values: Sequence
     if workers < 1:
         raise ValueError("workers must be >= 1")
 
-    n_lam, n_n = len(lambdas), len(n_values)
-    n_h0, n_h1, *counts = _sum_chunks(scenario, lambdas, n_values, workers)
-    assert_h0, silent_h1, flips, false_alarms, misses = (v.tolist() for v in counts)
-
-    out: list[list[SimResult]] = []
-    for li in range(n_lam):
-        row = []
-        for ni in range(n_n):
-            qf = _rate(false_alarms[li][ni], n_h0)
-            qm = _rate(misses[li][ni], n_h1)
-            point = PerfPoint(
-                qf=qf, qm=qm, kind="empirical",
-                qf_stderr=_stderr(qf, n_h0), qm_stderr=_stderr(qm, n_h1),
-                trials_h0=n_h0, trials_h1=n_h1,
-            )
-            row.append(SimResult(
-                point=point,
-                per_radio_pf_hat=_rate(assert_h0[li], k * n_h0),
-                per_radio_pm_hat=_rate(silent_h1[li], k * n_h1),
-                report_error_rate_hat=_rate(flips[li], k * scenario.trials),
-            ))
-        out.append(row)
-    return out
-
-
-def run_sim(scenario: SimScenario, workers: int = 1) -> SimResult:
-    """Simulate the scenario's single operating point."""
-    grid = run_grid(scenario, [scenario.sensing.threshold_lambda],
-                    [scenario.fusion.vote_threshold_n], workers=workers)
-    return grid[0][0]
-
+    n_h0, n_h1, assert_h0, silent_h1, flips, false_alarms, misses = \
+        _sum_chunks(scenario, lambdas, n_values, workers)
+    (qf, qf_stderr), (qm, qm_stderr) = _rates(false_alarms, n_h0), _rates(misses, n_h1)
+    return SimGrid(qf, qm, qf_stderr, qm_stderr,
+                   np.broadcast_to(n_h0, qf.shape), np.broadcast_to(n_h1, qf.shape),
+                   _rates(assert_h0, k * n_h0)[0], _rates(silent_h1, k * n_h1)[0],
+                   _rates(flips, k * scenario.trials)[0])

@@ -1,4 +1,7 @@
-"""Analytical ROC curves, vote-rule crossovers, and adaptive rule selection.
+"""The analytic ROC sweep, vote-rule crossovers, and adaptive rule selection.
+
+:class:`RocSweep` is the one closed-form ROC: the command line writes it, and
+library users read its columns.
 
 With a perfect reporting channel and high sensing SNR the 1-out-of-K (OR)
 rule gives the lowest fused false alarm at any miss level; at lower SNR a
@@ -18,8 +21,8 @@ from __future__ import annotations
 import importlib.util
 import math
 import sys
-from dataclasses import dataclass, replace
-from typing import Dict, Optional, Sequence, Tuple
+from dataclasses import dataclass
+from typing import Dict, NamedTuple, Optional, Tuple
 
 import numpy as np
 
@@ -29,14 +32,11 @@ from .mathx import Probability
 from .reporting import ReportChannel
 
 __all__ = [
-    "RocCurve",
+    "RocSweep",
     "CrossoverTable",
     "OptimalRule",
     "NoCrossoverError",
     "InfeasibleTargetError",
-    "operating_point",
-    "analytic_roc",
-    "qf_at_qm",
     "qm_star",
     "crossover_table",
     "optimal_n",
@@ -98,48 +98,41 @@ class InfeasibleTargetError(ValueError):
         self.min_achievable_qm = min_achievable_qm
 
 
-@dataclass(frozen=True)
-class RocCurve:
-    """Fused operating points swept over the detection threshold.
+class RocSweep(NamedTuple):
+    """The analytic ROC of rules ``ns`` over thresholds ``lambdas``, one row per (rule n, threshold λ).
 
-    ``points`` are (lambda, qf, qm) triples with strictly increasing lambda;
-    qf is nonincreasing and qm nondecreasing along the sweep, and neither can
-    fall below its reporting-error floor.
+    Per threshold it holds λ, pf_local and pm_local; per rule its two floors,
+    the fused qf and qm of a perfect local detector. A rule's qf and qm are
+    computed by :meth:`fused` a block of thresholds at a time, so no column
+    holds rules × thresholds values.
     """
 
-    fusion: FusionConfig
-    sensing: SensingParams  # threshold field is the sweep variable, ignored here
-    channel: ReportChannel
-    points: Tuple[Tuple[float, float, float], ...]
-    qf_floor: Probability
-    qm_floor: Probability
+    k: int
+    ns: list[int]
+    pe: float
+    lambdas: np.ndarray
+    pf: np.ndarray
+    pm: np.ndarray
+    qf_floor: np.ndarray
+    qm_floor: np.ndarray
 
-    def __post_init__(self):
-        lams = [p[0] for p in self.points]
-        if any(b <= a for a, b in zip(lams, lams[1:])):
-            raise ValueError("curve points must have strictly increasing lambda")
-        for (_, qf_a, qm_a), (_, qf_b, qm_b) in zip(self.points, self.points[1:]):
-            if qf_b > qf_a + 1e-12:
-                raise ValueError("qf must be nonincreasing along the sweep")
-            if qm_b < qm_a - 1e-12:
-                raise ValueError("qm must be nondecreasing along the sweep")
-        for _, qf, qm in self.points:
-            if qf < self.qf_floor - 1e-12:
-                raise ValueError("qf fell below its asymptotic floor")
-            if qm < self.qm_floor - 1e-12:
-                raise ValueError("qm fell below its asymptotic floor")
+    @classmethod
+    def of(cls, k: int, ns: list[int], sensing: SensingParams, channel: ReportChannel,
+           lambdas: np.ndarray) -> "RocSweep":
+        """The sweep of rules ``ns`` over thresholds ``lambdas``; ``sensing``'s own threshold is ignored."""
+        lambdas = np.asarray(lambdas, dtype=float)
+        if not all(1 <= n <= k for n in ns):
+            raise ValueError(f"ns must be vote thresholds in [1, {k}], got {ns!r}")
+        if not np.all((lambdas >= 0) & (lambdas < np.inf)):
+            raise ValueError("lambdas must be finite and >= 0")
+        m, pe, rules = sensing.samples_m, float(channel.pe), np.array(ns)
+        return cls(k, ns, pe, lambdas, _local_pf(m, lambdas),
+                   _local_pm(m, sensing.avg_snr_gamma, lambdas),
+                   _fused_qf(k, rules, 0.0, pe), _fused_qm(k, rules, 0.0, pe))
 
-    @property
-    def lambdas(self) -> Tuple[float, ...]:
-        return tuple(p[0] for p in self.points)
-
-    @property
-    def qf_values(self) -> Tuple[float, ...]:
-        return tuple(p[1] for p in self.points)
-
-    @property
-    def qm_values(self) -> Tuple[float, ...]:
-        return tuple(p[2] for p in self.points)
+    def fused(self, n: int, rows: slice) -> tuple[np.ndarray, np.ndarray]:
+        """qf and qm of rule ``n`` at the thresholds ``rows``."""
+        return _fused_qf(self.k, n, self.pf[rows], self.pe), _fused_qm(self.k, n, self.pm[rows], self.pe)
 
 
 @dataclass(frozen=True)
@@ -205,42 +198,6 @@ def _achieved(k: int, ns, samples_m: int, gamma: float, pe: float, target: float
     lam = np.full(ns.shape, np.inf)
     lam[binds] = _lambda_for_qm(k, ns[binds], samples_m, gamma, pe, target)
     return (lam, *_rule_point(k, ns, samples_m, gamma, pe, lam))
-
-
-def operating_point(fusion: FusionConfig, sensing: SensingParams, channel: ReportChannel,
-                    threshold: float) -> Tuple[Probability, Probability]:
-    """Fused (qf, qm) of one rule at one detection threshold."""
-    p = replace(sensing, threshold_lambda=threshold)
-    qf, qm = _rule_point(fusion.num_radios_k, fusion.vote_threshold_n, p.samples_m,
-                         p.avg_snr_gamma, float(channel.pe), p.threshold_lambda)
-    return Probability(qf), Probability(qm)
-
-
-def analytic_roc(fusion: FusionConfig, sensing: SensingParams, channel: ReportChannel,
-                 lambda_grid: Sequence[float]) -> RocCurve:
-    """Closed-form ROC curve over a strictly increasing threshold grid."""
-    grid = [float(v) for v in lambda_grid]
-    if not grid or any(b <= a for a, b in zip(grid, grid[1:])):
-        raise ValueError("lambda_grid must be a non-empty strictly increasing sequence")
-    k, n, pe = fusion.num_radios_k, fusion.vote_threshold_n, float(channel.pe)
-    qf, qm = _rule_point(k, n, sensing.samples_m, sensing.avg_snr_gamma, pe, grid)
-    return RocCurve(
-        fusion=fusion,
-        sensing=sensing,
-        channel=channel,
-        points=tuple(zip(grid, qf.tolist(), qm.tolist())),
-        qf_floor=Probability(_fused_qf(k, n, 0.0, pe)),
-        qm_floor=Probability(_fused_qm(k, n, 0.0, pe)),
-    )
-
-
-def qf_at_qm(curve: RocCurve, qm: float) -> float:
-    """Linearly interpolated qf of a curve at a given miss level."""
-    qms = np.asarray(curve.qm_values)
-    qfs = np.asarray(curve.qf_values)
-    if not curve.points or qm < qms[0] or qm > qms[-1]:
-        raise ValueError(f"qm={qm!r} is outside the curve's swept range [{qms[0]}, {qms[-1]}]")
-    return float(np.interp(qm, qms, qfs))
 
 
 def _crossovers(k: int, ns, samples_m: int, gamma: float, pe: float):

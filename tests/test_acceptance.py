@@ -103,19 +103,20 @@ def test_criterion_3_monte_carlo_validates_the_chain_and_the_relabeling():
         pf, pm, pd = float(local_pf(p)), float(local_pm(p)), float(local_pd(p))
         for ni, n in enumerate(n_values):
             cfg = rule(4, n)
-            sim = grid[li][ni]
+            qf_hat, qm_hat = float(grid.qf_hat[ni, li]), float(grid.qm_hat[ni, li])
+            trials_h0, trials_h1 = int(grid.trials_h0[ni, li]), int(grid.trials_h1[ni, li])
             qf = float(fused_qf(cfg, pf, pe))
             qm = float(fused_qm(cfg, pm, pe))
-            se_f = math.sqrt(qf * (1.0 - qf) / sim.point.trials_h0)
-            se_m = math.sqrt(qm * (1.0 - qm) / sim.point.trials_h1)
-            max_z = max(max_z, abs(float(sim.point.qf) - qf) / se_f,
-                        abs(float(sim.point.qm) - qm) / se_m)
+            se_f = math.sqrt(qf * (1.0 - qf) / trials_h0)
+            se_m = math.sqrt(qm * (1.0 - qm) / trials_h1)
+            max_z = max(max_z, abs(qf_hat - qf) / se_f,
+                        abs(qm_hat - qm) / se_m)
             # the same expression read as a miss probability without the
             # complement must be rejected by the same data
             qm_wrong = float(fused_qm(cfg, pd, pe))
-            se_wrong = math.sqrt(max(qm_wrong * (1.0 - qm_wrong), 1e-12) / sim.point.trials_h1)
+            se_wrong = math.sqrt(max(qm_wrong * (1.0 - qm_wrong), 1e-12) / trials_h1)
             min_z_mislabeled = min(min_z_mislabeled,
-                                   abs(float(sim.point.qm) - qm_wrong) / se_wrong)
+                                   abs(qm_hat - qm_wrong) / se_wrong)
     elapsed = time.perf_counter() - start
     report("3 (10^6-trial chain vs closed forms on the (n, lambda) grid)",
            max_z <= 4.0 and min_z_mislabeled > 4.0 and elapsed < 300.0,

@@ -17,7 +17,9 @@ from coopsense.cli import _FIELDS, ROC_COLUMNS, SIM_COLUMNS, _build_parser, _fmt
 from coopsense.fusion import FusionConfig, asymptotic_qf, asymptotic_qm, fused_qf, fused_qm
 from coopsense.local_sensing import SensingParams, local_pd, local_pf
 from coopsense.mathx import Probability
+from coopsense.montecarlo import SimGrid, SimScenario, run_grid
 from coopsense.reporting import channel_from_snr_db
+from coopsense.roc import RocSweep
 
 BASE = ["--k", "4", "--samples-m", "6", "--snr-db", "20", "--report-snr-db", "10"]
 
@@ -231,6 +233,35 @@ class TestSimulate:
         assert "seed" in proc.stderr
 
 
+class TestLargeSweep:
+    """simulate at K = 16 with all 16 rules over 20 000 thresholds: 320 000 rows from 100 trials."""
+
+    ARGS = ["--k", "16", *[a for n in range(1, 17) for a in ("--n", str(n))], "--samples-m", "6",
+            "--snr-db", "10", "--report-snr-db", "10", "--lambda-grid", "0:100:20000",
+            "--trials", "100", "--seed", "1"]
+
+    def test_out_file_matches_the_per_cell_results(self, tmp_path):
+        # sha256 of the CSV written at commit f9b5370, which built one result object per cell
+        out = tmp_path / "sim.csv"
+        assert main(["simulate", *self.ARGS, "--out", str(out)]) == 0
+        assert hashlib.sha256(out.read_bytes()).hexdigest() == \
+            "9fa0604723f382ff583a7bae308f7f82ce52d68f657a80386f5a5b92e44798c9"
+
+    def test_run_grid_memory_is_a_few_arrays_per_cell(self):
+        # per-cell result objects took 175 MB here; the arrays and their temporaries take 19 MB
+        sensing = SensingParams(samples_m=6, threshold_lambda=0.0, avg_snr_gamma=10.0)
+        scenario = SimScenario(sensing=sensing, channel=channel_from_snr_db(10.0),
+                               fusion=FusionConfig(num_radios_k=16, vote_threshold_n=1), trials=100, seed=1)
+        lambdas, ns = np.linspace(0.0, 100.0, 20_000), list(range(1, 17))
+        tracemalloc.start()
+        try:
+            run_grid(scenario, lambdas, ns)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < len(ns) * len(lambdas) * 8 * len(SimGrid._fields)
+
+
 K64_ALL_RULES = ["--k", "64", *[a for n in range(1, 65) for a in ("--n", str(n))],
                  "--samples-m", "6", "--snr-db", "10", "--pf-grid", "1e-9:0.99:60"]
 PERFECT = ["--k", "4", "--samples-m", "6", "--snr-db", "20", "--perfect-report"]
@@ -331,7 +362,7 @@ def edge_sweep(pe, ns=(1, 7, 64)):
     qf = {n: rotated(n + 3) for n in ns}
     qm = {n: rotated(-n)[::-1] for n in ns}
 
-    class EdgeSweep(cli._Sweep):
+    class EdgeSweep(RocSweep):
         def fused(self, n, rows):
             return np.array(qf[n])[rows], np.array(qm[n])[rows]
 
@@ -345,11 +376,13 @@ def edge_sweep(pe, ns=(1, 7, 64)):
 
 
 def edge_sim_fields(rules, count):
-    """Monte Carlo fields indexed [field, rule, threshold], and each row's fields as Python numbers."""
+    """A Monte Carlo result whose six row fields run through the edge values, and each row's
+    fields as Python numbers."""
     m = len(EDGE_VALUES)
     fields = [(*(EDGE_VALUES[(i + 5 * j + r) % m] for j in range(4)), 7919 * i, 2**40 - i - r)
               for r in range(rules) for i in range(count)]
-    return np.array(fields, dtype=float).reshape(rules, count, 6).transpose(2, 0, 1), fields
+    columns = (np.array(column).reshape(rules, count) for column in zip(*fields))
+    return SimGrid(*columns, pf_hat=None, pm_hat=None, report_error_rate_hat=None), fields
 
 
 def row_writer(fmt, columns, rows):
@@ -408,7 +441,7 @@ class TestStreaming:
                 pass
 
         def peak(rules, count):
-            sweep = cli._Sweep.of(64, list(range(1, rules + 1)), sensing, channel,
+            sweep = RocSweep.of(64, list(range(1, rules + 1)), sensing, channel,
                                   np.linspace(0.0, 100.0, count))
             tracemalloc.start()
             try:
@@ -440,6 +473,21 @@ class TestOptimalN:
                        "--perfect-report", "--target-qm", "0.01")
         assert proc.returncode == 0
         assert parse_kv(proc.stdout)["chosen_n"] == "1"
+
+    def test_rejects_a_vote_threshold(self, capsys, tmp_path):
+        args = ["optimal-n", "--k", "4", "--samples-m", "6", "--snr-db", "10", "--report-snr-db", "5",
+                "--target-qm", "0.3"]
+        with pytest.raises(SystemExit) as exit:
+            main([*args, "--n", "3"])
+        assert exit.value.code == 2
+        assert "--n" in capsys.readouterr().err
+        # the flat config file is shared by every command, so its n is still accepted
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text("n = 3\n")
+        assert main(args) == 0
+        alone = capsys.readouterr().out
+        assert main([*args, "--config", str(cfg)]) == 0
+        assert capsys.readouterr().out == alone
 
     def test_infeasible_target_exit_code_and_bound(self):
         proc = run_cli("optimal-n", *BASE, "--target-qm", "1e-30")

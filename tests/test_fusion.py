@@ -6,7 +6,6 @@ import pytest
 
 from coopsense.fusion import (
     FusionConfig,
-    PerfPoint,
     asymptotic_qf,
     asymptotic_qm,
     fused_qf,
@@ -33,21 +32,6 @@ class TestConfigTypes:
             cfg(4, 5)
         with pytest.raises(ValueError):
             FusionConfig(num_radios_k=4.0, vote_threshold_n=1)
-
-    def test_perf_point_validation(self):
-        PerfPoint(qf=0.1, qm=0.2, kind="analytical")
-        PerfPoint(qf=0.1, qm=0.2, kind="empirical", qf_stderr=0.01, qm_stderr=0.01,
-                  trials_h0=10, trials_h1=12)
-        with pytest.raises(ValueError):
-            PerfPoint(qf=0.1, qm=0.2, kind="analytical", qf_stderr=0.01)
-        with pytest.raises(ValueError):
-            PerfPoint(qf=0.1, qm=0.2, kind="empirical")
-        with pytest.raises(ValueError):
-            PerfPoint(qf=0.1, qm=0.2, kind="empirical", trials_h0=0, trials_h1=0)
-        with pytest.raises(ValueError):
-            PerfPoint(qf=1.2, qm=0.2, kind="analytical")
-        with pytest.raises(ValueError):
-            PerfPoint(qf=0.1, qm=0.2, kind="guess")
 
 
 class TestTrivialPoints:

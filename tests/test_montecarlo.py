@@ -8,7 +8,7 @@ import pytest
 from coopsense.fusion import FusionConfig, fused_qf, fused_qm
 from coopsense.local_sensing import SensingParams, local_pf, local_pm
 import coopsense.montecarlo as mc
-from coopsense.montecarlo import SimScenario, run_grid, run_sim
+from coopsense.montecarlo import SimScenario, run_grid
 from coopsense.reporting import channel_from_snr_db, perfect_channel
 
 
@@ -21,6 +21,23 @@ def scenario(k=4, n=2, m=6, lam=12.0, gbar=100.0, snr_r_db=10.0, trials=100_000,
         trials=trials,
         seed=seed,
     )
+
+
+def cell(grid, ni, li):
+    """The (rule ni, threshold li) cell of a ``run_grid`` result: every field at that cell, as scalars."""
+    return grid._make(v[ni, li] if v.ndim == 2 else v[li] for v in grid)
+
+
+def run_sim(scenario, workers=1):
+    """The one-cell grid of the scenario's own threshold and rule."""
+    grid = run_grid(scenario, [scenario.sensing.threshold_lambda],
+                    [scenario.fusion.vote_threshold_n], workers=workers)
+    return cell(grid, 0, 0)
+
+
+def bits(grid):
+    """Each field of a ``run_grid`` result as bytes, for bit-for-bit comparison."""
+    return [(v.dtype, v.shape, v.tobytes()) for v in grid]
 
 
 def row_reduced_energy_statistic(z, amp):
@@ -80,10 +97,10 @@ class TestDeterminism:
     def test_sweep_entries_match_standalone_runs(self):
         base = scenario(trials=40_000, seed=17)
         lambdas = [6.0, 12.0, 20.0]
-        sweep = [row[0] for row in run_grid(base, lambdas, [2])]
-        for lam, res in zip(lambdas, sweep):
+        grid = run_grid(base, lambdas, [2])
+        for li, lam in enumerate(lambdas):
             single = run_sim(scenario(trials=40_000, seed=17, lam=lam))
-            assert res == single
+            assert cell(grid, 0, li) == single
 
     def test_grid_cells_match_standalone_runs(self):
         base = scenario(trials=40_000, seed=23)
@@ -91,7 +108,7 @@ class TestDeterminism:
         for li, lam in enumerate([8.0, 16.0]):
             for ni, n in enumerate([1, 3]):
                 single = run_sim(scenario(trials=40_000, seed=23, lam=lam, n=n))
-                assert grid[li][ni] == single
+                assert cell(grid, ni, li) == single
 
     def test_seed_changes_the_draws(self):
         a = run_sim(scenario(trials=30_000, seed=1))
@@ -103,15 +120,15 @@ class TestDegenerateCases:
     def test_zero_threshold_perfect_reports(self):
         # every radio always asserts and every report arrives intact
         res = run_sim(scenario(lam=0.0, perfect=True, trials=20_000, seed=3))
-        assert float(res.point.qf) == 1.0
-        assert float(res.point.qm) == 0.0
+        assert float(res.qf_hat) == 1.0
+        assert float(res.qm_hat) == 0.0
         assert float(res.report_error_rate_hat) == 0.0
 
     def test_single_trial_is_well_formed(self):
         res = run_sim(scenario(trials=1, seed=8))
-        assert res.point.trials_h0 + res.point.trials_h1 == 1
-        assert 0.0 <= float(res.point.qf) <= 1.0
-        assert 0.0 <= float(res.point.qm) <= 1.0
+        assert res.trials_h0 + res.trials_h1 == 1
+        assert 0.0 <= float(res.qf_hat) <= 1.0
+        assert 0.0 <= float(res.qm_hat) <= 1.0
 
 
 class TestDistributionalSanity:
@@ -142,7 +159,7 @@ class TestClosedFormAgreement:
         res = run_sim(SimScenario(sensing=base.sensing, channel=channel, fusion=base.fusion,
                                   trials=base.trials, seed=base.seed))
         pf = float(local_pf(SensingParams(samples_m=6, threshold_lambda=12.0, avg_snr_gamma=100.0)))
-        assert within_4se(float(res.point.qf), pf, res.point.qf_stderr)
+        assert within_4se(float(res.qf_hat), pf, res.qf_stderr)
 
     @pytest.mark.parametrize("m,lam,gbar,seed", [
         (6, 12.0, 100.0, 101),   # 20 dB average SNR operating point
@@ -155,10 +172,10 @@ class TestClosedFormAgreement:
         res = run_sim(scenario(k=1, n=1, m=m, lam=lam, gbar=gbar, trials=1_000_000, seed=seed))
         p = SensingParams(samples_m=m, threshold_lambda=lam, avg_snr_gamma=gbar)
         pf, pm = float(local_pf(p)), float(local_pm(p))
-        se_f = math.sqrt(pf * (1 - pf) / res.point.trials_h0)
-        se_m = math.sqrt(pm * (1 - pm) / res.point.trials_h1)
-        assert abs(float(res.per_radio_pf_hat) - pf) <= 4.0 * max(se_f, 1e-12)
-        assert abs(float(res.per_radio_pm_hat) - pm) <= 4.0 * max(se_m, 1e-12)
+        se_f = math.sqrt(pf * (1 - pf) / res.trials_h0)
+        se_m = math.sqrt(pm * (1 - pm) / res.trials_h1)
+        assert abs(float(res.pf_hat) - pf) <= 4.0 * max(se_f, 1e-12)
+        assert abs(float(res.pm_hat) - pm) <= 4.0 * max(se_m, 1e-12)
 
     def test_fused_point_matches_closed_forms(self):
         res = run_sim(scenario(trials=300_000, seed=51))
@@ -167,33 +184,34 @@ class TestClosedFormAgreement:
         pe = channel_from_snr_db(10.0).pe
         qf = float(fused_qf(cfg, local_pf(p), pe))
         qm = float(fused_qm(cfg, local_pm(p), pe))
-        assert within_4se(float(res.point.qf), qf, res.point.qf_stderr)
-        assert within_4se(float(res.point.qm), qm, res.point.qm_stderr)
+        assert within_4se(float(res.qf_hat), qf, res.qf_stderr)
+        assert within_4se(float(res.qm_hat), qm, res.qm_stderr)
 
 
 class TestCommonRandomNumbers:
     def test_sweep_false_alarms_are_monotone_per_realization(self):
         # shared draws and nested decision regions force monotone empirical curves
         base = scenario(trials=50_000, seed=61)
-        sweep = [row[0] for row in run_grid(base, [4.0, 8.0, 12.0, 16.0, 24.0], [2])]
-        qf = [float(r.point.qf) for r in sweep]
-        qm = [float(r.point.qm) for r in sweep]
+        grid = run_grid(base, [4.0, 8.0, 12.0, 16.0, 24.0], [2])
+        qf = grid.qf_hat[0].tolist()
+        qm = grid.qm_hat[0].tolist()
         assert all(b <= a for a, b in zip(qf, qf[1:]))
         assert all(b >= a for a, b in zip(qm, qm[1:]))
 
     def test_twenty_point_sweep_tracks_the_analytic_curve(self):
         from coopsense.local_sensing import threshold_for_pf
-        from coopsense.roc import analytic_roc
+        from coopsense.roc import RocSweep
 
         lambdas = sorted(threshold_for_pf(float(q), 6) for q in np.geomspace(1e-4, 0.95, 20))
         base = scenario(trials=200_000, seed=87)
-        sweep = [row[0] for row in run_grid(base, lambdas, [2])]
-        curve = analytic_roc(base.fusion, base.sensing, base.channel, lambdas)
-        for res, (_, qf, qm) in zip(sweep, curve.points):
-            se_f = math.sqrt(float(qf) * (1.0 - float(qf)) / res.point.trials_h0)
-            se_m = math.sqrt(float(qm) * (1.0 - float(qm)) / res.point.trials_h1)
-            assert abs(float(res.point.qf) - float(qf)) <= 4.0 * se_f
-            assert abs(float(res.point.qm) - float(qm)) <= 4.0 * se_m
+        grid = run_grid(base, lambdas, [2])
+        curve = RocSweep.of(4, [2], base.sensing, base.channel, np.array(lambdas)).fused(2, slice(None))
+        for li, (qf, qm) in enumerate(zip(*curve)):
+            res = cell(grid, 0, li)
+            se_f = math.sqrt(float(qf) * (1.0 - float(qf)) / res.trials_h0)
+            se_m = math.sqrt(float(qm) * (1.0 - float(qm)) / res.trials_h1)
+            assert abs(float(res.qf_hat) - float(qf)) <= 4.0 * se_f
+            assert abs(float(res.qm_hat) - float(qm)) <= 4.0 * se_m
 
 
 def slicing_tallies(t, w, active, lambdas, n_values):
@@ -215,8 +233,8 @@ def slicing_tallies(t, w, active, lambdas, n_values):
             flips[li] += int((received != d).sum())
             assert_h0[li] += int(d[idle].sum())
             silent_h1[li] += int((~d)[active].sum())
-    false_alarms = [[int((ones[li] >= n)[idle].sum()) for n in n_values] for li in range(n_lam)]
-    misses = [[int((ones[li] < n)[active].sum()) for n in n_values] for li in range(n_lam)]
+    false_alarms = [[int((ones[li] >= n)[idle].sum()) for li in range(n_lam)] for n in n_values]
+    misses = [[int((ones[li] < n)[active].sum()) for li in range(n_lam)] for n in n_values]
     return active.size - n_h1, n_h1, assert_h0, silent_h1, flips, false_alarms, misses
 
 
@@ -338,7 +356,7 @@ class TestWorkerCap:
         s = scenario(trials=trials, seed=13)
         result = run_grid(s, [10.0], [2], workers=workers)
         assert _SerialPool.sizes == ([] if expected is None else [expected])
-        assert result == run_grid(s, [10.0], [2], workers=1)
+        assert bits(result) == bits(run_grid(s, [10.0], [2], workers=1))
 
 
 class TestStreaming:
@@ -352,7 +370,7 @@ class TestStreaming:
         assert _SerialPool.sizes == [3]
         assert _SerialPool.submitted == 41
         assert _SerialPool.peak == 2 * 3
-        assert result == run_grid(s, [1.0, 4.0], [1, 2], workers=1)
+        assert bits(result) == bits(run_grid(s, [1.0, 4.0], [1, 2], workers=1))
 
 
 class TestEnergyStatistic:
@@ -429,9 +447,9 @@ class TestBlocking:
     def test_grid_equals_the_default_blocking(self, monkeypatch, m, trials, block_values):
         s = scenario(k=2, n=1, m=m, lam=2.0 * m, trials=trials, seed=47)
         lambdas, n_values = [1.5 * m, 2.0 * m, 3.0 * m], [1, 2]
-        default = run_grid(s, lambdas, n_values)
+        default = bits(run_grid(s, lambdas, n_values))
         monkeypatch.setattr(mc, "_BLOCK_VALUES", block_values)
-        assert run_grid(s, lambdas, n_values) == default
+        assert bits(run_grid(s, lambdas, n_values)) == default
 
 
 class TestMemoryBound:

@@ -6,6 +6,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
+from coopsense.cli import _lambda_values
 from coopsense.fusion import FusionConfig, _fused_qm, asymptotic_qf, asymptotic_qm, fused_qf, fused_qm
 from coopsense.local_sensing import SensingParams, local_pf, local_pm, threshold_for_pf
 from coopsense.montecarlo import SimScenario, run_grid
@@ -13,12 +14,9 @@ from coopsense.reporting import ReportChannel, channel_from_snr_db, perfect_chan
 from coopsense.roc import (
     InfeasibleTargetError,
     NoCrossoverError,
-    RocCurve,
-    analytic_roc,
+    RocSweep,
     crossover_table,
-    operating_point,
     optimal_n,
-    qf_at_qm,
     qm_star,
 )
 
@@ -36,6 +34,36 @@ def pf_spaced_grid(points, lo=1e-9, hi=1.0 - 1e-9, m=6):
     return sorted(threshold_for_pf(float(q), m) for q in pf_values)
 
 
+def curve(n, channel, lambdas, k=4):
+    """Rule n's ROC over the thresholds: (lambdas, qf, qm, qf_floor, qm_floor), read from a RocSweep."""
+    lambdas = np.asarray(lambdas, dtype=float)
+    sweep = RocSweep.of(k, [n], SENSING, channel, lambdas)
+    return (lambdas, *sweep.fused(n, slice(None)), sweep.qf_floor[0], sweep.qm_floor[0])
+
+
+def check_roc_invariants(lambdas, qf, qm, qf_floor, qm_floor):
+    """Strictly increasing lambda; qf nonincreasing and qm nondecreasing along the sweep, and
+    neither below its reporting-error floor, each to within 1e-12."""
+    assert np.all(lambdas[1:] > lambdas[:-1]), "lambda must be strictly increasing"
+    assert np.all(qf[1:] <= qf[:-1] + 1e-12), "qf must be nonincreasing along the sweep"
+    assert np.all(qm[1:] >= qm[:-1] - 1e-12), "qm must be nondecreasing along the sweep"
+    assert np.all(qf >= qf_floor - 1e-12), "qf fell below its asymptotic floor"
+    assert np.all(qm >= qm_floor - 1e-12), "qm fell below its asymptotic floor"
+
+
+def qf_at_qm(qms, qfs, qm):
+    """Linearly interpolated qf of a curve at a miss level inside its swept range."""
+    if qm < qms[0] or qm > qms[-1]:
+        raise ValueError(f"qm={qm!r} is outside the curve's swept range [{qms[0]}, {qms[-1]}]")
+    return float(np.interp(qm, qms, qfs))
+
+
+def operating_point(fusion, channel, lam):
+    """Fused (qf, qm) of one rule at one threshold, from the scalar closed forms."""
+    p = replace(SENSING, threshold_lambda=lam)
+    return fused_qf(fusion, local_pf(p), channel.pe), fused_qm(fusion, local_pm(p), channel.pe)
+
+
 def scan_qf_qm(fusion, channel, lambdas):
     pe = channel.pe
     qf, qm = [], []
@@ -50,25 +78,36 @@ class TestRocCurve:
     def test_analytic_curve_satisfies_invariants(self):
         grid = pf_spaced_grid(80)
         for n in (1, 2, 3, 4):
-            curve = analytic_roc(rule(4, n), SENSING, CH10, grid)
-            assert len(curve.points) == 80  # construction itself validates the invariants
+            lambdas, *columns = curve(n, CH10, grid)
+            assert len(lambdas) == 80
+            check_roc_invariants(lambdas, *columns)
+
+    @pytest.mark.parametrize("channel", [channel_from_snr_db(10.0), perfect_channel()], ids=["noisy", "perfect"])
+    def test_k64_golden_grids_satisfy_invariants(self, channel):
+        # every rule of the K = 64 golden roc sweeps in tests/test_cli.py, at their thresholds
+        sensing = SensingParams(samples_m=6, threshold_lambda=0.0, avg_snr_gamma=10.0)
+        lambdas = _lambda_values({"pf_grid": "1e-9:0.99:60"}, 6)
+        sweep = RocSweep.of(64, list(range(1, 65)), sensing, channel, lambdas)
+        for r, n in enumerate(sweep.ns):
+            check_roc_invariants(lambdas, *sweep.fused(n, slice(None)), sweep.qf_floor[r], sweep.qm_floor[r])
+
+    def test_sweep_rejects_rules_outside_k_and_bad_thresholds(self):
+        for ns, lambdas in (([0, 2], [1.0]), ([5], [1.0]), ([1], [-1.0]), ([1], [1.0, np.inf]), ([1], [np.nan])):
+            with pytest.raises(ValueError):
+                RocSweep.of(4, ns, SENSING, CH10, lambdas)
 
     def test_invalid_point_sequences_are_rejected(self):
-        base = analytic_roc(rule(4, 2), SENSING, CH10, pf_spaced_grid(10))
-        pts = list(base.points)
-        with pytest.raises(ValueError):
-            RocCurve(fusion=base.fusion, sensing=base.sensing, channel=base.channel,
-                     points=tuple(reversed(pts)), qf_floor=base.qf_floor, qm_floor=base.qm_floor)
-        shuffled = (pts[0], (pts[1][0], pts[0][1], pts[1][2]), *pts[2:])  # qf rises
-        with pytest.raises(ValueError):
-            RocCurve(fusion=base.fusion, sensing=base.sensing, channel=base.channel,
-                     points=(pts[1], shuffled[1], *pts[2:]), qf_floor=base.qf_floor,
-                     qm_floor=base.qm_floor)
+        lambdas, qf, qm, qf_floor, qm_floor = curve(2, CH10, pf_spaced_grid(10))
+        with pytest.raises(AssertionError):
+            check_roc_invariants(lambdas[::-1], qf[::-1], qm[::-1], qf_floor, qm_floor)
+        # after point 1 comes point 1 again, with the qf of point 0: qf rises
+        shuffled = [np.insert(v[1:], 1, v[i]) for v, i in ((lambdas, 1), (qf, 0), (qm, 1))]
+        with pytest.raises(AssertionError):
+            check_roc_invariants(*shuffled, qf_floor, qm_floor)
 
     def test_single_radio_perfect_channel_reduces_to_local_curve(self):
         grid = pf_spaced_grid(40)
-        curve = analytic_roc(rule(1, 1), SENSING, perfect_channel(), grid)
-        for lam, qf, qm in curve.points:
+        for lam, qf, qm in zip(*curve(1, perfect_channel(), grid, k=1)[:3]):
             p = replace(SENSING, threshold_lambda=lam)
             assert float(qf) == pytest.approx(float(local_pf(p)), abs=1e-14)
             assert float(qm) == pytest.approx(float(local_pm(p)), abs=1e-14)
@@ -77,28 +116,28 @@ class TestRocCurve:
         grid = pf_spaced_grid(40, lo=1e-12)
         for channel in (CH10, CH5):
             for n in (1, 2, 3, 4):
-                curve = analytic_roc(rule(4, n), SENSING, channel, grid)
-                assert curve.points[-1][1] == pytest.approx(float(curve.qf_floor), rel=1e-9, abs=1e-9)
+                _, qf, _, qf_floor, _ = curve(n, channel, grid)
+                assert qf[-1] == pytest.approx(float(qf_floor), rel=1e-9, abs=1e-9)
 
     def test_interpolated_lookup(self):
-        curve = analytic_roc(rule(4, 1), SENSING, CH10, pf_spaced_grid(200))
-        mid = 0.5 * (curve.qm_values[10] + curve.qm_values[11])
-        val = qf_at_qm(curve, mid)
-        assert curve.qf_values[11] <= val <= curve.qf_values[10]
+        _, qfs, qms, _, _ = curve(1, CH10, pf_spaced_grid(200))
+        mid = 0.5 * (qms[10] + qms[11])
+        val = qf_at_qm(qms, qfs, mid)
+        assert qfs[11] <= val <= qfs[10]
         with pytest.raises(ValueError):
-            qf_at_qm(curve, -1.0)
+            qf_at_qm(qms, qfs, -1.0)
 
 
 class TestPerfectChannelDominance:
     def test_or_rule_dominates_at_every_miss_level(self):
         grid = pf_spaced_grid(600, lo=1e-10)
-        curves = [analytic_roc(rule(4, n), SENSING, perfect_channel(), grid) for n in (1, 2, 3, 4)]
-        lo = max(c.qm_values[0] for c in curves)
-        hi = min(c.qm_values[-1] for c in curves)
+        curves = [curve(n, perfect_channel(), grid)[1:3] for n in (1, 2, 3, 4)]
+        lo = max(qms[0] for _, qms in curves)
+        hi = min(qms[-1] for _, qms in curves)
         for qm in np.geomspace(max(lo, 1e-6), hi * 0.999, 50):
-            best = qf_at_qm(curves[0], float(qm))
-            for other in curves[1:]:
-                assert best <= qf_at_qm(other, float(qm)) + 1e-6
+            best = qf_at_qm(curves[0][1], curves[0][0], float(qm))
+            for qfs, qms in curves[1:]:
+                assert best <= qf_at_qm(qms, qfs, float(qm)) + 1e-6
 
 
 class TestQmStar:
@@ -128,8 +167,8 @@ class TestQmStar:
         # at the crossover both rules achieve the same false alarm at equal miss
         lam2 = _lambda_matching_qm(rule(4, 2), CH10, star)
         lam3 = _lambda_matching_qm(rule(4, 3), CH10, star)
-        qf2 = operating_point(rule(4, 2), SENSING, CH10, lam2)[0]
-        qf3 = operating_point(rule(4, 3), SENSING, CH10, lam3)[0]
+        qf2 = operating_point(rule(4, 2), CH10, lam2)[0]
+        qf3 = operating_point(rule(4, 3), CH10, lam3)[0]
         assert abs(float(qf2) - float(qf3)) <= 1e-10
 
     def test_no_crossover_in_perfect_channel_limit(self):
@@ -238,7 +277,7 @@ class TestOptimalN:
     def test_achieved_point_meets_the_target(self):
         res = optimal_n(0.05, 4, SENSING, CH10)
         assert float(res.achieved_qm) == pytest.approx(0.05, rel=1e-9)
-        qf, qm = operating_point(rule(4, res.n), SENSING, CH10, res.achieved_lambda)
+        qf, qm = operating_point(rule(4, res.n), CH10, res.achieved_lambda)
         assert float(qf) == pytest.approx(float(res.achieved_qf), rel=1e-12)
         assert float(qm) == pytest.approx(float(res.achieved_qm), rel=1e-12)
 
@@ -266,15 +305,14 @@ class TestEmpiricalOverlay:
         )
         grid = run_grid(base, lambdas, [1, 2], workers=2)
         for ni, n in enumerate([1, 2]):
-            curve = analytic_roc(rule(4, n), SENSING, CH10, lambdas)
-            for li, (_, qf, qm) in enumerate(curve.points):
-                sim = grid[li][ni]
+            _, qfs, qms, _, _ = curve(n, CH10, lambdas)
+            for li, (qf, qm) in enumerate(zip(qfs, qms)):
                 # band from the analytical rate so rare-event cells with zero
                 # observed counts still get a meaningful standard error
-                se_f = math.sqrt(float(qf) * (1 - float(qf)) / sim.point.trials_h0)
-                se_m = math.sqrt(float(qm) * (1 - float(qm)) / sim.point.trials_h1)
-                assert abs(float(sim.point.qf) - float(qf)) <= 4.0 * se_f
-                assert abs(float(sim.point.qm) - float(qm)) <= 4.0 * se_m
+                se_f = math.sqrt(float(qf) * (1 - float(qf)) / grid.trials_h0[ni, li])
+                se_m = math.sqrt(float(qm) * (1 - float(qm)) / grid.trials_h1[ni, li])
+                assert abs(float(grid.qf_hat[ni, li]) - float(qf)) <= 4.0 * se_f
+                assert abs(float(grid.qm_hat[ni, li]) - float(qm)) <= 4.0 * se_m
 
 
 class TestKernelPath:
@@ -286,7 +324,7 @@ class TestKernelPath:
         for n in (1, 2, 4):
             qf, qm = _rule_point(4, n, 6, 100.0, pe, lams)
             for i, lam in enumerate(lams):
-                ref_f, ref_m = operating_point(rule(4, n), SENSING, CH10, float(lam))
+                ref_f, ref_m = operating_point(rule(4, n), CH10, float(lam))
                 assert (qf[i], qm[i]) == (float(ref_f), float(ref_m))
 
     def test_infinite_threshold_gives_floor_and_loose_limit(self):
