@@ -5,10 +5,13 @@ fused miss (:func:`_predict`). Elements without a settled root take a plain
 bisection (:func:`_bisection`): targets nearer a floor or a loose limit than
 _EDGE times the span between them, where the miss's rounding rather than its
 slope decides the root, the scrambled channel, and any element that does not
-converge. The crossovers root-find the false-alarm gap with :func:`brentq`,
-a port of scipy's that runs many brackets in lockstep. ``coopsense.roc``
-imports this module on the first crossover or threshold solve, so commands
-that never invert a miss do not load it.
+converge. The crossovers scan the signs of the false-alarm gap with
+:func:`gap_signs`, which certifies most of them from a forward table of the
+rules' fused qm and qf and inverts only the levels the table leaves open,
+then root-find the gap with :func:`brentq`, a port of scipy's that runs many
+brackets in lockstep. ``coopsense.roc`` imports this module on the first
+crossover or threshold solve, so commands that never invert a miss do not
+load it.
 """
 from __future__ import annotations
 
@@ -29,6 +32,10 @@ _EDGE = 1e-9
 # Iteration caps of the Newton solve; an element not settled by then is bisected.
 _NEWTON_STEPS = 60
 _FUSED_STEPS = 4
+# The gap-sign scan's forward table: 1000 log thresholds over the span of _predict's start table, and
+# the relative margin by which it widens each bound (see _table_signs).
+_TABLE_SPAN = np.linspace(-16.0, 8.0, 1000)
+_MARGIN = 1e-9
 
 
 def _beta_density(a, b, x):
@@ -254,7 +261,63 @@ def qf_gap(k: int, pair, samples_m: int, gamma: float, pe: float, qs):
     return qf[1] - qf[0]
 
 
+def _table_signs(k: int, pair, samples_m: int, gamma: float, pe: float, qs, tie: float):
+    """The signs of :func:`gap_signs` that a forward table certifies, and the levels it leaves open.
+
+    The table holds the fused qm and qf of the rules in ``pair`` on 1000
+    log-spaced thresholds (_TABLE_SPAN), made monotone. For each level q and rule,
+    ``np.searchsorted`` finds the last point whose qm is below q (1 - _MARGIN)
+    and the first whose qm is above q (1 + _MARGIN). qm rises with the
+    threshold, so the rule's threshold for q lies between those two points,
+    and qf falls, so its qf lies between theirs; widened by _MARGIN relative,
+    they bound the qf that :func:`qf_gap` computes, and so the gap. The
+    table's ends are lam = 0 and lam = inf, the rules' loose limits and
+    floors, so a level beyond the finite points still gets bounds, only
+    looser ones. Where the bounds decide both signs, those are the signs; a
+    level near a crossing or near the tie tolerance stays open, and so does
+    one whose bounds are too loose.
+
+    _MARGIN must exceed the relative error of that computed qf: the
+    threshold's root error times qf's relative slope d ln qf / d ln lam,
+    plus the special functions' rounding, 1e-13 or less. The tests bound the
+    root error by 128 ulps (2.8e-14) where the closed form's own rounding
+    does not amplify it, and 1500 random roots were at most 410 ulps off;
+    the slope is at most 3.2e3 wherever qf is a normal float on the table's
+    span (K <= 40, M <= 150, measured). That is at most 3e-10; the qm side is
+    the same argument. The certificate assumes nothing about where the
+    levels come from.
+    """
+    rules, row = np.unique(pair, return_inverse=True)
+    row = row.reshape(pair.shape)
+    lam = np.exp(math.log(2.0 * _sp.gammainccinv(samples_m, _PF_SWEEP_LO)) + _TABLE_SPAN)
+    # the table ends at lam = 0 and lam = inf, between which every threshold lies
+    pm = np.concatenate(([0.0], _local_pm(samples_m, gamma, lam), [1.0]))
+    pf = np.concatenate(([1.0], _local_pf(samples_m, lam), [0.0]))
+    qm = np.maximum.accumulate(_fused_qm(k, rules[:, None], pm, pe), axis=1)
+    qf = np.minimum.accumulate(_fused_qf(k, rules[:, None], pf, pe), axis=1)
+    levels, top, bottom = np.broadcast_to(qs, pair.shape), np.empty(pair.shape), np.empty(pair.shape)
+    last = pm.size - 1
+    for r in range(rules.size):
+        at = row == r
+        below = np.searchsorted(qm[r], levels[at] * (1.0 - _MARGIN)) - 1
+        above = np.searchsorted(qm[r], levels[at] * (1.0 + _MARGIN), side="right")
+        top[at] = qf[r, np.maximum(below, 0)] * (1.0 + _MARGIN)
+        bottom[at] = qf[r, np.minimum(above, last)] * (1.0 - _MARGIN)
+    most, least = top[1] - bottom[0], bottom[1] - top[0]
+    worse, better = least > 0.0, most < -tie
+    return worse, better, ~((worse | (most < 0.0)) & (better | (least > -tie)))
+
+
 def gap_signs(k: int, pair, samples_m: int, gamma: float, pe: float, qs, tie: float):
-    """Where :func:`qf_gap` is > 0 (rule n+1 worse), and where it is < -tie (rule n+1 better beyond a tie)."""
-    gap = qf_gap(k, pair, samples_m, gamma, pe, qs)
-    return gap > 0.0, gap < -tie
+    """Where :func:`qf_gap` is > 0 (rule n+1 worse), and where it is < -tie (rule n+1 better beyond a tie).
+
+    The forward table of :func:`_table_signs` certifies the signs of most
+    levels; :func:`qf_gap` inverts only the levels it leaves open, each as it
+    would among all of them, so every sign is that of the exact gap.
+    """
+    worse, better, open_ = _table_signs(k, pair, samples_m, gamma, pe, qs, tie)
+    idx = np.flatnonzero(open_)
+    if idx.size:
+        gap = qf_gap(k, pair[:, idx], samples_m, gamma, pe, qs[idx])
+        worse[idx], better[idx] = gap > 0.0, gap < -tie
+    return worse, better

@@ -13,7 +13,9 @@ threshold from the target miss probability, then double-checks itself against
 a direct constrained minimization. A crossover table is one solve over all
 rule pairs: shared gap-sign scans, then Brent steps run in lockstep by
 :mod:`coopsense._inversion`, bit for bit scipy's ``brentq`` but without
-importing ``scipy.optimize``. Each rule's threshold for a miss level is the
+importing ``scipy.optimize``. A scan certifies most signs from a forward
+table of both rules' fused qm and qf, and inverts only the miss levels that
+the table's bounds leave open. Each rule's threshold for a miss level is the
 Newton root of its fused miss, with a plain bisection as the fallback.
 """
 from __future__ import annotations
@@ -207,10 +209,14 @@ def _crossovers(k: int, ns, samples_m: int, gamma: float, pe: float):
     their fused false alarms at equal miss probability (each rule at its own
     threshold), and root-finds the first sign change with Brent's method. The
     scans of all pairs share :func:`_inversion.gap_signs` calls of at most
-    _SCAN_PAIRS pairs, which read only the gaps' signs; the Brent solves of
-    all pairs run in lockstep (:func:`_inversion.brentq`), and each step
-    inverts both rules with :func:`_lambda_for_qm`. dominant is 0
-    where the rules cross and the entry is the crossing; where rule n
+    _SCAN_PAIRS pairs, which read only the gaps' signs: a forward table of
+    the call's rules certifies most of them, and only the levels its bounds
+    leave open are inverted, so the signs are those of the exact gaps. Each
+    call's miss levels are built in the loop, and only each pair's bracket
+    and dominant rule are kept, so the scan's memory does not grow with K.
+    The Brent solves of all pairs run in lockstep (:func:`_inversion.brentq`),
+    and each step inverts both rules with :func:`_lambda_for_qm`. dominant is
+    0 where the rules cross and the entry is the crossing; where rule n
     dominates the entry is inf, and where rule n+1 does it is n+1's floor.
     """
     from . import _inversion
@@ -220,27 +226,25 @@ def _crossovers(k: int, ns, samples_m: int, gamma: float, pe: float):
     live = np.flatnonzero(floor_b < sup)
     dominant = np.where(floor_b < sup, 0, ns)
     lo, hi = floor_b + (sup - floor_b) * 1e-9, sup - (sup - floor_b) * 1e-9
-    qs = np.array([np.geomspace(max(lo[p], 1e-300), hi[p], points) for p in live.tolist()]).reshape(-1, points)
-    worse, better = np.empty(qs.shape, bool), np.empty(qs.shape, bool)
-    for start in range(0, live.size, _SCAN_PAIRS):
-        part = slice(start, start + _SCAN_PAIRS)
-        n = np.repeat(ns[live[part]], points)
-        signs = _inversion.gap_signs(k, np.array([n, n + 1]), m, g, pe, qs[part].ravel(), _QF_TIE_TOL)
-        worse[part], better[part] = (v.reshape(-1, points) for v in signs)
     brackets = []
-    for i, p in enumerate(live.tolist()):
-        # a crossover only counts once the larger rule's advantage clears the
-        # tie tolerance; sub-tie dips (vanishing-error channels, underflowed
-        # floors) leave the smaller rule dominant
-        advantaged = np.flatnonzero(better[i])
-        if not advantaged.size:
-            dominant[p] = ns[p]
-            continue
-        positives = np.flatnonzero(worse[i, :advantaged[0]])
-        if not positives.size:
-            dominant[p] = ns[p] + 1  # ahead as soon as both rules exist
-            continue
-        brackets.append((float(qs[i, positives[-1]]), float(qs[i, advantaged[0]])))
+    for start in range(0, live.size, _SCAN_PAIRS):
+        part = live[start:start + _SCAN_PAIRS].tolist()
+        qs = np.array([np.geomspace(max(lo[p], 1e-300), hi[p], points) for p in part])
+        n = np.repeat(ns[part], points)
+        signs = _inversion.gap_signs(k, np.array([n, n + 1]), m, g, pe, qs.ravel(), _QF_TIE_TOL)
+        for p, q, worse, better in zip(part, qs, *(v.reshape(-1, points) for v in signs)):
+            # a crossover only counts once the larger rule's advantage clears the
+            # tie tolerance; sub-tie dips (vanishing-error channels, underflowed
+            # floors) leave the smaller rule dominant
+            advantaged = np.flatnonzero(better)
+            if not advantaged.size:
+                dominant[p] = ns[p]
+                continue
+            positives = np.flatnonzero(worse[:advantaged[0]])
+            if not positives.size:
+                dominant[p] = ns[p] + 1  # ahead as soon as both rules exist
+                continue
+            brackets.append((float(q[positives[-1]]), float(q[advantaged[0]])))
     cross = np.flatnonzero(dominant == 0)
 
     def gap(owners, q):

@@ -1,6 +1,7 @@
 """The all-pairs crossover solve: its Brent port against scipy.optimize.brentq, batch independence
-of the crossover table, and the bounded gap-sign scans."""
+of the crossover table, and the bounded gap-sign scans with the signs their forward table certifies."""
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -157,18 +158,85 @@ def test_a_table_mixing_crossings_with_both_dominant_rules_matches_its_pairs():
     assert hexed(table.entries) == hexed(per_pair_entries(k, sens, channel))
 
 
+def exact_gap_signs(k, pair, samples_m, gamma, pe, qs, tie):
+    """The gap-sign scan without its forward table: every level inverted exactly."""
+    gap = inv.qf_gap(k, pair, samples_m, gamma, pe, qs)
+    return gap > 0.0, gap < -tie
+
+
+@settings(PROPERTY, max_examples=60)
+@given(st.integers(2, 12), st.sampled_from([*range(1, 17), 150]), st.floats(-5.0, 30.0),
+       st.one_of(st.floats(-3.0, 20.0), st.none()))
+def test_the_table_certifies_only_the_exact_signs(k, m, snr_db, snr_r_db):
+    channel = perfect_channel() if snr_r_db is None else channel_from_snr_db(snr_r_db)
+    scans, gap_signs = [], inv.gap_signs
+
+    def recorded(*args):
+        scans.append(args)
+        return gap_signs(*args)
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(inv, "gap_signs", recorded)
+        table = roc.crossover_table(k, sensing(m, snr_db), channel)
+        patch.setattr(inv, "gap_signs", exact_gap_signs)
+        assert hexed(table.entries) == hexed(roc.crossover_table(k, sensing(m, snr_db), channel).entries)
+    for args in scans:
+        worse, better, open_ = inv._table_signs(*args)
+        exact_worse, exact_better = exact_gap_signs(*args)
+        assert np.array_equal(worse[~open_], exact_worse[~open_])
+        assert np.array_equal(better[~open_], exact_better[~open_])
+
+
+def test_the_table_decides_most_benchmarked_levels():
+    """A table that decided nothing would give the exact signs too, at the exact scan's cost."""
+    k, pe = 8, float(channel_from_snr_db(10.0).pe)
+    n = np.repeat(np.arange(1, k), roc._CROSSOVER_SCAN_POINTS)
+    qs = np.concatenate([np.geomspace(_fused_qm(k, r + 1, 0.0, pe) * 1.001, _fused_qm(k, r, 1.0, pe) * 0.999,
+                                      roc._CROSSOVER_SCAN_POINTS) for r in range(1, k)])
+    _, _, open_ = inv._table_signs(k, np.array([n, n + 1]), 6, 10.0, pe, qs, roc._QF_TIE_TOL)  # M 6, 10 dB
+    assert open_.mean() < 0.05
+
+
 def test_scans_are_bounded_and_their_split_changes_no_bit(monkeypatch):
     k, sens, channel = 40, sensing(6, 10.0), channel_from_snr_db(10.0)
-    sizes, gap_signs = [], inv.gap_signs
+    sizes, rules, inside, gap_signs, fused_qm = [], [], [], inv.gap_signs, inv._fused_qm
 
     def recorded(k, pair, samples_m, gamma, pe, qs, tie):
         sizes.append(np.size(qs))
-        return gap_signs(k, pair, samples_m, gamma, pe, qs, tie)
+        inside.append(True)
+        try:
+            return gap_signs(k, pair, samples_m, gamma, pe, qs, tie)
+        finally:
+            inside.pop()
+
+    def tabulated(k, n, pm, pe):
+        if inside:
+            rules.append(np.unique(n).size)
+        return fused_qm(k, n, pm, pe)
 
     monkeypatch.setattr(inv, "gap_signs", recorded)
+    monkeypatch.setattr(inv, "_fused_qm", tabulated)
     whole = roc.crossover_table(k, sens, channel).entries
     assert sizes and max(sizes) <= roc._SCAN_PAIRS * roc._CROSSOVER_SCAN_POINTS and len(sizes) > 1
+    assert max(rules) <= roc._SCAN_PAIRS + 1
     monkeypatch.setattr(roc, "_SCAN_PAIRS", 3)
     sizes.clear()
+    rules.clear()
     assert hexed(roc.crossover_table(k, sens, channel).entries) == hexed(whole)
     assert max(sizes) <= 3 * roc._CROSSOVER_SCAN_POINTS
+    assert max(rules) <= 3 + 1
+
+
+def test_scan_memory_does_not_grow_with_k():
+    """A table's tracemalloc peak grows with K by little more than its entries: the scan keeps only each
+    pair's bracket and dominant rule, not its miss levels and signs."""
+    sens, channel = sensing(6, 10.0), channel_from_snr_db(5.0)
+    peaks = {}
+    for k in (400, 800):
+        tracemalloc.start()
+        try:
+            roc.crossover_table(k, sens, channel)
+            peaks[k] = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+    assert peaks[800] - peaks[400] < (800 - 400) * 1024
