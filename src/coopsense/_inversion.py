@@ -1,4 +1,4 @@
-"""Inversion of the fused miss in the detection threshold, and scipy's brentq run in lockstep.
+"""Inversion of the fused miss in the detection threshold, and the crossings of consecutive rules' ROCs.
 
 The threshold at which rule n meets a miss target is the Newton root of the
 fused miss (:func:`_predict`). Elements without a settled root take a plain
@@ -8,10 +8,10 @@ slope decides the root, the scrambled channel, and any element that does not
 converge. The crossovers scan the signs of the false-alarm gap with
 :func:`gap_signs`, which certifies most of them from a forward table of the
 rules' fused qm and qf and inverts only the levels the table leaves open,
-then root-find the gap with :func:`brentq`, a port of scipy's that runs many
-brackets in lockstep. ``coopsense.roc`` imports this module on the first
-crossover or threshold solve, so commands that never invert a miss do not
-load it.
+then solve for the gap's root with :func:`crossings`, a safeguarded Newton
+iteration on the closed-form slopes of both ROCs that runs all brackets
+together. ``coopsense.roc`` imports this module on the first crossover or
+threshold solve, so commands that never invert a miss do not load it.
 """
 from __future__ import annotations
 
@@ -36,17 +36,21 @@ _FUSED_STEPS = 4
 # the relative margin by which it widens each bound (see _table_signs).
 _TABLE_SPAN = np.linspace(-16.0, 8.0, 1000)
 _MARGIN = 1e-9
+# The crossing solve's tolerance, Brent's 1e-15 + 8.9e-16 q, and its round cap.
+_CROSSING_XTOL = 1e-15
+_CROSSING_RTOL = 8.9e-16
+_CROSSING_ROUNDS = 200
 
 
-def _beta_density(a, b, x):
-    """d I_x(a, b) / dx: the slope of a binomial tail in its bit probability."""
-    return np.exp(_sp.xlogy(a - 1.0, x) + _sp.xlog1py(b - 1.0, -x) - _sp.betaln(a, b))
+def _log_beta_density(a, b, x):
+    """log d I_x(a, b) / dx: the log slope of a binomial tail in its bit probability."""
+    return _sp.xlogy(a - 1.0, x) + _sp.xlog1py(b - 1.0, -x) - _sp.betaln(a, b)
 
 
 def _fused_miss(k: int, n, samples_m: int, gamma: float, pe: float, lam):
     """Fused miss of rules n at thresholds lam, and its slope d qm / d lam."""
     pm, slope = _local_pm_parts(samples_m, gamma, lam)
-    density = _beta_density(k - n + 1.0, n, _flip(pm, pe))
+    density = np.exp(_log_beta_density(k - n + 1.0, n, _flip(pm, pe)))
     return _fused_qm(k, n, pm, pe), density * (1.0 - 2.0 * pe) * slope
 
 
@@ -67,7 +71,7 @@ def _zero_for_qm(k: int, n, target):
         x = np.exp((np.log(q) + np.log(a) + _sp.betaln(a, b)) / a)
         for _ in range(3):
             fused = _sp.betainc(a, b, x)
-            x = x * np.exp((np.log(q) - np.log(fused)) * fused / (x * _beta_density(a, b, x)))
+            x = x * np.exp((np.log(q) - np.log(fused)) * fused / (x * np.exp(_log_beta_density(a, b, x))))
         zero[lost] = x
     return zero
 
@@ -151,93 +155,6 @@ def _bisection(k: int, n, samples_m: int, gamma: float, pe: float, target):
     return hi
 
 
-def _lockstep(runs, evaluate):
-    """Run generators like :func:`_brent` together: each round passes every pending point to one
-    ``evaluate(owners, points)`` call and sends each generator its answers. Returns their results."""
-    out, pending, owners = [None] * len(runs), [], []
-
-    def advance(i, answers):
-        try:
-            asks = runs[i].send(answers)
-        except StopIteration as stop:
-            out[i] = stop.value
-        else:
-            pending.extend(asks)
-            owners.append((i, len(asks)))
-
-    for i in range(len(runs)):
-        advance(i, None)
-    while pending:
-        idx = np.repeat([i for i, _ in owners], [size for _, size in owners])
-        answers = np.asarray(evaluate(idx, np.array(pending))).tolist()
-        asked, pending, owners, start = owners, [], [], 0
-        for i, size in asked:
-            advance(i, answers[start:start + size])
-            start += size
-    return out
-
-
-def _checked(fs):
-    """Function values fs, unless one is NaN (scipy's brentq raises on those too)."""
-    if any(math.isnan(f) for f in fs):
-        raise ValueError("the function value is NaN; solver cannot converge")
-    return fs
-
-
-def _brent(xpre: float, xcur: float, xtol: float, rtol: float, maxiter: int):
-    """scipy's ``brentq`` (``brentq.c``) on the bracket [xpre, xcur], as a generator that yields lists of
-    points and receives their function values.
-
-    The same float operations in the same order, so the same root bits after
-    the same evaluations; a NaN value raises ValueError, as scipy's does.
-    """
-    fpre, fcur = _checked((yield [xpre, xcur]))
-    if fpre == 0:
-        return xpre
-    if fcur == 0:
-        return xcur
-    if math.copysign(1.0, fpre) == math.copysign(1.0, fcur):
-        raise ValueError("f(a) and f(b) must have different signs")
-    xblk = fblk = spre = scur = 0.0
-    for _ in range(maxiter):
-        if fpre != 0 and fcur != 0 and math.copysign(1.0, fpre) != math.copysign(1.0, fcur):
-            xblk, fblk = xpre, fpre
-            spre = scur = xcur - xpre
-        if abs(fblk) < abs(fcur):
-            xpre, xcur, xblk = xcur, xblk, xcur
-            fpre, fcur, fblk = fcur, fblk, fcur
-        delta = (xtol + rtol * abs(xcur)) / 2
-        sbis = (xblk - xcur) / 2
-        if fcur == 0 or abs(sbis) < delta:
-            return xcur
-        stry = math.nan  # fails the acceptance test below, so the step bisects
-        if abs(spre) > delta and abs(fcur) < abs(fpre):
-            try:
-                if xpre == xblk:  # interpolate
-                    stry = -fcur * (xcur - xpre) / (fcur - fpre)
-                else:  # extrapolate
-                    dpre = (fpre - fcur) / (xpre - xcur)
-                    dblk = (fblk - fcur) / (xblk - xcur)
-                    stry = -fcur * (fblk * dblk - fpre * dpre) / (dblk * dpre * (fblk - fpre))
-            except ZeroDivisionError:  # C's step is then inf or nan, which bisects
-                pass
-        limit = 3 * abs(sbis) - delta
-        if 2 * abs(stry) < (abs(spre) if abs(spre) < limit else limit):  # a good short step
-            spre, scur = scur, stry
-        else:
-            spre = scur = sbis
-        xpre, fpre = xcur, fcur
-        xcur += scur if abs(scur) > delta else (delta if sbis > 0 else -delta)
-        fcur, = _checked((yield [xcur]))
-    raise RuntimeError(f"Failed to converge after {maxiter} iterations, value is {xcur:f}")
-
-
-def brentq(evaluate, brackets, xtol: float, rtol: float, maxiter: int) -> list:
-    """Roots of functions f_i in brackets (a_i, b_i), each bit for bit what ``scipy.optimize.brentq`` finds;
-    the Brent steps run in lockstep, and ``evaluate(owners, xs)`` returns every pending f_owner(x) at once."""
-    return _lockstep([_brent(a, b, xtol, rtol, maxiter) for a, b in brackets], evaluate)
-
-
 def lambda_for_qm(k: int, n, samples_m: int, gamma: float, pe: float, target):
     """Thresholds at which rules n reach miss targets between their floors and loose limits.
 
@@ -259,6 +176,63 @@ def qf_gap(k: int, pair, samples_m: int, gamma: float, pe: float, qs):
     miss level qs."""
     qf = _fused_qf(k, pair, _local_pf(samples_m, lambda_for_qm(k, pair, samples_m, gamma, pe, qs)), pe)
     return qf[1] - qf[0]
+
+
+def _log_pf_slope(samples_m: int, lam):
+    """log(-d pf / d lam): the log chi-square(2M) density, (lam/2)^(M-1) e^(-lam/2) / (2 Gamma(M))."""
+    return _sp.xlogy(samples_m - 1.0, lam / 2.0) - lam / 2.0 - math.log(2.0) - _sp.gammaln(samples_m)
+
+
+def _roc_slope(k: int, n, samples_m: int, gamma: float, pe: float, lam):
+    """d qf / d qm along the ROCs of rules n at thresholds lam: (d qf / d lam) / (d qm / d lam), each a beta
+    density times (1 - 2 pe) times the local slope. The (1 - 2 pe) factors cancel; the rest is formed in logs."""
+    pm, dpm = _local_pm_parts(samples_m, gamma, lam)
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        return -np.exp(_log_beta_density(n, k - n + 1.0, _flip(_local_pf(samples_m, lam), pe))
+                       + _log_pf_slope(samples_m, lam)
+                       - _log_beta_density(k - n + 1.0, n, _flip(pm, pe)) - np.log(dpm))
+
+
+def _gap_and_slope(k: int, pair, samples_m: int, gamma: float, pe: float, qs):
+    """:func:`qf_gap` at miss levels qs and its slope d gap / dq = r(n+1) - r(n), r the :func:`_roc_slope`."""
+    lam = lambda_for_qm(k, pair, samples_m, gamma, pe, qs)
+    qf, slope = _fused_qf(k, pair, _local_pf(samples_m, lam), pe), _roc_slope(k, pair, samples_m, gamma, pe, lam)
+    return qf[1] - qf[0], slope[1] - slope[0]
+
+
+def crossings(k: int, n, samples_m: int, gamma: float, pe: float, lo, hi):
+    """Roots of :func:`qf_gap` for rules n and n+1 in the brackets (lo, hi), where the gap is > 0 at lo and < 0
+    at hi: the miss levels at which both rules reach equal qf.
+
+    Safeguarded Newton steps on :func:`_gap_and_slope`, all brackets in one
+    call per round. Each point evaluated replaces the bracket's end of its
+    gap's sign; a step that leaves the bracket, or is nan or inf, goes to
+    its midpoint, and every step is at least half of Brent's tolerance
+    1e-15 + 8.9e-16 q, so near a root the computed signs close the bracket.
+    A solve stops at a gap of exactly 0 or a bracket within the tolerance,
+    and returns its evaluated point of smallest |gap|.
+    """
+    a, b = np.array(lo, dtype=float), np.array(hi, dtype=float)
+    out, idx, x = np.empty(a.shape), np.arange(a.size), 0.5 * (a + b)
+    best, least = x.copy(), np.full(a.shape, np.inf)
+    for _ in range(_CROSSING_ROUNDS):
+        gap, slope = _gap_and_slope(k, np.array([n[idx], n[idx] + 1]), samples_m, gamma, pe, x)
+        if np.isnan(gap).any():
+            raise ValueError("the qf gap is nan; the crossing solve cannot converge")
+        best, least = np.where(np.abs(gap) < least, x, best), np.minimum(np.abs(gap), least)
+        a, b = np.where(gap > 0.0, x, a), np.where(gap < 0.0, x, b)
+        tol = _CROSSING_XTOL + _CROSSING_RTOL * x
+        done = (gap == 0.0) | (b - a <= tol)
+        with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+            step = -gap / slope
+            # widen short steps first: one under half an ulp of x would round onto the bracket's end and bisect
+            step = np.where(np.abs(step) < 0.5 * tol, np.copysign(0.5 * tol, step), step)
+            x = np.where((x + step > a) & (x + step < b), x + step, 0.5 * (a + b))
+        out[idx[done]] = best[done]
+        idx, a, b, x, best, least = (v[~done] for v in (idx, a, b, x, best, least))
+        if not idx.size:
+            return out
+    raise RuntimeError(f"the crossing solve did not settle within {_CROSSING_ROUNDS} rounds")
 
 
 def _table_signs(k: int, pair, samples_m: int, gamma: float, pe: float, qs, tie: float):

@@ -11,12 +11,12 @@ consecutive rules' ROC curves cross: above some miss level the larger rule
 wins. The selection rule here locates those crossovers and picks the vote
 threshold from the target miss probability, then double-checks itself against
 a direct constrained minimization. A crossover table is one solve over all
-rule pairs: shared gap-sign scans, then Brent steps run in lockstep by
-:mod:`coopsense._inversion`, bit for bit scipy's ``brentq`` but without
-importing ``scipy.optimize``. A scan certifies most signs from a forward
-table of both rules' fused qm and qf, and inverts only the miss levels that
-the table's bounds leave open. Each rule's threshold for a miss level is the
-Newton root of its fused miss, with a plain bisection as the fallback.
+rule pairs in :mod:`coopsense._inversion`: shared gap-sign scans, then
+Newton steps on the closed-form slopes of both rules' ROCs. A scan certifies
+most signs from a forward table of both rules' fused qm and qf, and inverts
+only the miss levels that the table's bounds leave open. Each rule's
+threshold for a miss level is the Newton root of its fused miss, with a
+plain bisection as the fallback.
 """
 from __future__ import annotations
 
@@ -58,10 +58,10 @@ def _lazy_module(name: str):
     return sys.modules[name]
 
 
-# No program path uses scipy.optimize: the crossovers run a port of its brentq
-# (coopsense._inversion.brentq). The lazy binding stays only because the
-# benchmark's tracer patches roc.optimize.brentq; ROADMAP item 1 removes it.
-# Nothing touches its attributes, so no command imports scipy.optimize.
+# No program path uses scipy.optimize: the crossovers are solved by Newton
+# steps (coopsense._inversion.crossings). The lazy binding stays only because
+# the benchmark's tracer patches roc.optimize.brentq; ROADMAP item 1 removes
+# it. Nothing touches its attributes, so no command imports scipy.optimize.
 optimize = _lazy_module("scipy.optimize")
 
 _CROSSOVER_SCAN_POINTS = 400
@@ -181,24 +181,14 @@ def _rule_point(k: int, n, samples_m: int, gamma: float, pe: float, lam):
             _fused_qm(k, n, _local_pm(samples_m, gamma, lam), pe))
 
 
-def _lambda_for_qm(k: int, n, samples_m: int, gamma: float, pe: float, target):
-    """Thresholds at which rules n reach miss targets between their floors and loose limits.
-
-    Newton roots of the fused miss, or a plain bisection where none settles
-    (:mod:`coopsense._inversion`, imported here on first use, so only
-    commands that invert a miss load it).
-    """
-    from . import _inversion
-
-    return _inversion.lambda_for_qm(k, n, samples_m, gamma, pe, target)
-
-
 def _achieved(k: int, ns, samples_m: int, gamma: float, pe: float, target: float):
     """(lambda, qf, qm) arrays of rules ns at the lowest false alarm whose miss meets the target;
     lambda is inf where the target is at or above the loose limit (the constraint never binds)."""
+    from . import _inversion  # on first use, so only commands that invert a miss load it
+
     binds = target < _fused_qm(k, ns, 1.0, pe)
     lam = np.full(ns.shape, np.inf)
-    lam[binds] = _lambda_for_qm(k, ns[binds], samples_m, gamma, pe, target)
+    lam[binds] = _inversion.lambda_for_qm(k, ns[binds], samples_m, gamma, pe, target)
     return (lam, *_rule_point(k, ns, samples_m, gamma, pe, lam))
 
 
@@ -207,15 +197,15 @@ def _crossovers(k: int, ns, samples_m: int, gamma: float, pe: float):
 
     Per pair, it scans the miss range where both rules are feasible, comparing
     their fused false alarms at equal miss probability (each rule at its own
-    threshold), and root-finds the first sign change with Brent's method. The
+    threshold), and solves for the gap's root in its first sign change. The
     scans of all pairs share :func:`_inversion.gap_signs` calls of at most
     _SCAN_PAIRS pairs, which read only the gaps' signs: a forward table of
     the call's rules certifies most of them, and only the levels its bounds
     leave open are inverted, so the signs are those of the exact gaps. Each
     call's miss levels are built in the loop, and only each pair's bracket
     and dominant rule are kept, so the scan's memory does not grow with K.
-    The Brent solves of all pairs run in lockstep (:func:`_inversion.brentq`),
-    and each step inverts both rules with :func:`_lambda_for_qm`. dominant is
+    The crossings of all pairs are one :func:`_inversion.crossings` solve,
+    whose every round inverts both rules of each unsettled pair. dominant is
     0 where the rules cross and the entry is the crossing; where rule n
     dominates the entry is inf, and where rule n+1 does it is n+1's floor.
     """
@@ -244,24 +234,20 @@ def _crossovers(k: int, ns, samples_m: int, gamma: float, pe: float):
             if not positives.size:
                 dominant[p] = ns[p] + 1  # ahead as soon as both rules exist
                 continue
-            brackets.append((float(q[positives[-1]]), float(q[advantaged[0]])))
+            brackets.append((q[positives[-1]], q[advantaged[0]]))
     cross = np.flatnonzero(dominant == 0)
-
-    def gap(owners, q):
-        n = ns[cross[owners]]
-        return _inversion.qf_gap(k, np.array([n, n + 1]), m, g, pe, q)
-
     entries = np.where(dominant == ns, math.inf, floor_b)
-    entries[cross] = _inversion.brentq(gap, brackets, xtol=1e-15, rtol=8.9e-16, maxiter=200)
+    if cross.size:
+        entries[cross] = _inversion.crossings(k, ns[cross], m, g, pe, *zip(*brackets))
     return entries, dominant
 
 
 def qm_star(fusion: FusionConfig, sensing: SensingParams, channel: ReportChannel) -> Probability:
     """Miss level at which rules n and n+1 exchange superiority.
 
-    The scan and Brent solve of :func:`_crossovers` for this one pair: the
-    root ``scipy.optimize.brentq`` finds for the gap between both rules'
-    false alarms at their Newton thresholds. Raises :class:`NoCrossoverError`
+    The scan and Newton solve of :func:`_crossovers` for this one pair: the
+    root of the gap between both rules' false alarms at their Newton
+    thresholds, within Brent's tolerance 1e-15 + 8.9e-16 q. Raises :class:`NoCrossoverError`
     when one rule dominates throughout, which includes the perfect-channel
     limit (smaller rule wins) and the fully scrambled pe = 0.5 channel, where
     the comparison is a tie and the smaller rule is preferred.

@@ -269,7 +269,8 @@ PERFECT = ["--k", "4", "--samples-m", "6", "--snr-db", "20", "--perfect-report"]
 
 class TestGoldenBytes:
     """sha256 of every output path, as written by the row-per-dict writer at commit 1b03617, except
-    optimal-n-noisy and optimal-n-perfect-json, which print the Newton thresholds' last bits.
+    optimal-n-noisy and optimal-n-perfect-json, which print the last bits of the Newton thresholds and
+    crossings.
 
     The K = 64 cases hold a qf that underflows to a printed 0 (perfect channel)
     and rows with qf = 1 (noisy channel); the perfect-channel optimal-n case
@@ -294,7 +295,7 @@ class TestGoldenBytes:
             "json": "f0f0b7b2dd29285149f3f3a8e30d9a4caa218cbd4f419efcf466f7cc581419d1"}),
         "optimal-n-noisy": (["optimal-n", *BASE, "--target-qm", "0.05"], {
             "csv": "709713bf7ce98c2de28fa56c4a7c5ad33c71a0ea339d2d1a7f82577541334a85",
-            "json": "3ec1038b372661ffed906f3e0d4b47a7d5707edd47f7574c1e75a18be9dcafbb"}),
+            "json": "2e65c22ffce510e5e11ca2834b84c7adb86285e49dd8610288684d3db4833e4f"}),
         "optimal-n-perfect": (["optimal-n", *PERFECT, "--target-qm", "0.01"], {
             "csv": "3788311efb157c4ed66207f50ab4cb2b90e4efb048e05c020354be88c3435fbe",
             "json": "4447d513d5040b51074b5aef6eb94ae651d447a2d4b5dd62bd1b1c2b70333a5a"}),

@@ -1,5 +1,5 @@
-"""The all-pairs crossover solve: its Brent port against scipy.optimize.brentq, batch independence
-of the crossover table, and the bounded gap-sign scans with the signs their forward table certifies."""
+"""The all-pairs crossover solve: the Newton crossing's stops and errors, batch independence of the
+crossover table, and the bounded gap-sign scans with the signs their forward table certifies."""
 import math
 import tracemalloc
 
@@ -7,7 +7,6 @@ import numpy as np
 import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
-from scipy import optimize
 
 from coopsense import _inversion as inv
 from coopsense import roc
@@ -18,111 +17,47 @@ from coopsense.reporting import channel_from_snr_db, perfect_channel
 PROPERTY = settings(max_examples=600, deadline=None, derandomize=True, database=None,
                     suppress_health_check=[HealthCheck.too_slow])
 
-# Smooth shapes with a sign change at u = 0; the secant is exact on "line", and "root" and "sine"
-# (several roots) push Brent into its bisection fallback.
-SHAPES = {
-    "line": lambda u: u,
-    "tanh": math.tanh,
-    "cubic": lambda u: u ** 3 + 1e-3 * u,
-    "expm1": lambda u: math.expm1(min(u, 700.0)),
-    "root": lambda u: math.copysign(abs(u) ** 0.3, u),
-    "sine": math.sin,
-}
-TOLERANCES = [dict(xtol=1e-15, rtol=8.9e-16), dict(xtol=2e-12, rtol=8.9e-16), dict(xtol=1e-4, rtol=1e-10)]
-OPTIONS = dict(xtol=2e-12, rtol=8.9e-16)
-
-
-def shape(name, root, width, scale):
-    return lambda x: scale * SHAPES[name]((x - root) / width)
-
-
-def scipy_result(f, a, b, **options):
-    """(root bits, evaluations) of scipy's brentq, or the type of the exception it raises."""
-    try:
-        root, info = optimize.brentq(f, a, b, full_output=True, **options)
-    except (ValueError, RuntimeError) as err:
-        return type(err)
-    return float(root).hex(), info.function_calls
-
-
-def port_results(fs, brackets, xtol, rtol, maxiter=100):
-    """(root bits, evaluations) of each bracket, all solved in lockstep by the port."""
-    calls = [0] * len(fs)
-
-    def evaluate(owners, xs):
-        for i in owners.tolist():
-            calls[i] += 1
-        return [fs[i](x) for i, x in zip(owners.tolist(), xs.tolist())]
-
-    roots = inv.brentq(evaluate, brackets, xtol=xtol, rtol=rtol, maxiter=maxiter)
-    return [(root.hex(), n) for root, n in zip(roots, calls)]
-
-
-def port_result(f, a, b, **options):
-    try:
-        return port_results([f], [(a, b)], **options)[0]
-    except (ValueError, RuntimeError) as err:
-        return type(err)
-
-
-brents = st.tuples(
-    st.sampled_from(sorted(SHAPES)), st.floats(-3.0, 3.0), st.floats(1e-3, 1e3),
-    st.floats(1e-200, 1e200).flatmap(lambda s: st.sampled_from([s, -s])),
-    st.floats(1e-6, 10.0), st.floats(1e-6, 10.0), st.booleans(),
-)
-
-
-def bracket_of(case):
-    name, root, width, scale, left, right, swap = case
-    a, b = root - left, root + right
-    return shape(name, root, width, scale), (b, a) if swap else (a, b)
-
-
-class TestBrentPort:
-    """Same root bits after the same evaluations as scipy's brentq, and the same errors.
-
-    The drawn cases take every kind of step: inverse-quadratic extrapolation,
-    secant interpolation, rejected steps that fall back to bisection, the
-    +-delta minimum step, and extrapolation whose denominator underflows to 0
-    (scales near 1e-200), where the C code's step is inf or nan.
-    """
-
-    @PROPERTY
-    @given(brents, st.sampled_from(TOLERANCES), st.integers(1, 200))
-    def test_matches_scipy(self, case, tolerances, maxiter):
-        f, (a, b) = bracket_of(case)
-        assert port_result(f, a, b, maxiter=maxiter, **tolerances) == scipy_result(f, a, b, maxiter=maxiter,
-                                                                                  **tolerances)
-
-    @settings(PROPERTY, max_examples=60)
-    @given(st.lists(brents, min_size=1, max_size=24), st.sampled_from(TOLERANCES))
-    def test_lockstep_solves_each_bracket_as_scipy_does_alone(self, cases, tolerances):
-        solved = [(f, ab) for f, ab in map(bracket_of, cases) if isinstance(scipy_result(f, *ab, **tolerances), tuple)]
-        fs, brackets = [f for f, _ in solved], [ab for _, ab in solved]
-        assert port_results(fs, brackets, **tolerances) == [scipy_result(f, *ab, **tolerances) for f, ab in solved]
-
-    @pytest.mark.parametrize("a, b, want", [(1.0, 2.0, 1.0), (0.0, 1.0, 1.0), (1.0, 1.0, 1.0)])
-    def test_a_zero_at_an_end_is_the_root(self, a, b, want):
-        f = lambda x: x - 1.0
-        assert port_result(f, a, b, **OPTIONS) == scipy_result(f, a, b, **OPTIONS) == (want.hex(), 2)
-
-    @pytest.mark.parametrize("f, error", [
-        (lambda x: x * x + 1.0, ValueError),  # same sign at both ends
-        (lambda x: math.nan if 0.4 < x < 0.6 else x - 0.5, ValueError),  # NaN on the secant step
-        (lambda x: math.nan if x > 0.9 else x - 0.5, ValueError),  # NaN at an end
-    ])
-    def test_errors_match(self, f, error):
-        assert port_result(f, 0.0, 1.0, **OPTIONS) == scipy_result(f, 0.0, 1.0, **OPTIONS) == error
-
-    def test_maxiter_exhaustion_raises(self):
-        f = shape("root", 0.3, 1.0, 1.0)
-        assert scipy_result(f, 0.0, 1.0, maxiter=3, **OPTIONS) == RuntimeError
-        with pytest.raises(RuntimeError):
-            inv.brentq(lambda _, xs: [f(x) for x in xs.tolist()], [(0.0, 1.0)], maxiter=3, **OPTIONS)
-
 
 def sensing(m, snr_db):
     return SensingParams(samples_m=m, threshold_lambda=0.0, avg_snr_gamma=10.0 ** (snr_db / 10.0))
+
+
+class TestCrossingSolve:
+    """The Newton crossing's stops and errors, on a table whose pairs all cross (K 8, M 6, 10 dB, SNR_r 5 dB)."""
+
+    K, SENSING, CHANNEL = 8, sensing(6, 10.0), channel_from_snr_db(5.0)
+
+    def table(self):
+        return roc.crossover_table(self.K, self.SENSING, self.CHANNEL)
+
+    def test_a_nan_gap_raises(self, monkeypatch):
+        monkeypatch.setattr(inv, "_gap_and_slope", lambda *args: (np.full(np.size(args[-1]), np.nan),) * 2)
+        with pytest.raises(ValueError, match="nan"):
+            self.table()
+
+    def test_exhausting_the_round_cap_raises(self, monkeypatch):
+        monkeypatch.setattr(inv, "_CROSSING_ROUNDS", 2)
+        with pytest.raises(RuntimeError, match="2 rounds"):
+            self.table()
+
+    def test_a_gap_of_exactly_zero_returns_that_point(self, monkeypatch):
+        points, gap_and_slope = [], inv._gap_and_slope
+
+        def zero_at_first(k, pair, samples_m, gamma, pe, qs):
+            points.append(qs.tolist())
+            gap, slope = gap_and_slope(k, pair, samples_m, gamma, pe, qs)
+            return np.zeros_like(gap) if len(points) == 1 else gap, slope
+
+        monkeypatch.setattr(inv, "_gap_and_slope", zero_at_first)
+        entries = list(self.table().entries.values())
+        assert len(points) == 1 and entries == points[0] and len(entries) == self.K - 1
+
+    def test_rounds_stay_few(self, monkeypatch):
+        """Brent took 6 rounds on this table, one lambda_for_qm call each; the Newton steps take 5."""
+        calls, gap_and_slope = [], inv._gap_and_slope
+        monkeypatch.setattr(inv, "_gap_and_slope", lambda *args: calls.append(1) or gap_and_slope(*args))
+        self.table()
+        assert len(calls) <= 5
 
 
 def per_pair_entries(k, sens, channel):

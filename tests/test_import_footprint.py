@@ -40,7 +40,7 @@ def run_python(code, *args):
 
 
 def test_no_command_loads_scipy_optimize(tmp_path):
-    # the crossovers run coopsense._inversion.brentq; roc.optimize stays a lazy, untouched binding
+    # the crossovers are solved by coopsense._inversion.crossings; roc.optimize stays a lazy, untouched binding
     seen = run_python(SCRIPT, str(tmp_path), json.dumps(COMMANDS), json.dumps(ARGS), "scipy.optimize._optimize")
     assert seen == {"before": False, "after": False, "same_brentq": True}
 

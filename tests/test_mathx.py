@@ -3,7 +3,7 @@ import math
 
 import pytest
 
-from coopsense._inversion import _beta_density
+from coopsense._inversion import _log_beta_density
 from coopsense.local_sensing import _local_pf
 from coopsense.mathx import Probability, as_probability, db_to_linear, gaussian_q
 
@@ -15,7 +15,7 @@ def reg_upper_incomplete_gamma(a, x):
 
 def log_binomial(k, i):
     """log C(k, i) from the beta density, Pr{Bin(k, x) = i} = f(x; i+1, k-i+1) / (k+1), at x = 1/2."""
-    return math.log(float(_beta_density(i + 1.0, k - i + 1.0, 0.5)) / (k + 1)) + k * math.log(2.0)
+    return float(_log_beta_density(i + 1.0, k - i + 1.0, 0.5)) - math.log(k + 1) + k * math.log(2.0)
 
 
 # mpmath.gammainc(a, x, inf, regularized=True) at 50 digits
@@ -143,5 +143,5 @@ class TestLogBinomial:
     @pytest.mark.parametrize("p", [0.0, 0.3, 0.5, 1.0])
     def test_binomial_row_sums_to_one(self, k, p):
         # the beta density at p itself, so the endpoints p = 0 and 1 are exercised too
-        total = math.fsum(float(_beta_density(i + 1.0, k - i + 1.0, p)) / (k + 1) for i in range(k + 1))
+        total = math.fsum(math.exp(_log_beta_density(i + 1.0, k - i + 1.0, p)) / (k + 1) for i in range(k + 1))
         assert total == pytest.approx(1.0, abs=1e-12)

@@ -337,8 +337,8 @@ class TestKernelPath:
             assert qm == float(fused_qm(rule(4, n), 1.0, pe))
 
     def test_inversion_hits_the_target_and_ignores_its_batch(self):
-        from coopsense._inversion import _predict
-        from coopsense.roc import _lambda_for_qm, _rule_point
+        from coopsense._inversion import _predict, lambda_for_qm
+        from coopsense.roc import _rule_point
 
         pe = float(CH10.pe)
         # Newton roots, and targets 1e-10 of the span from a floor or a loose limit, which are bisected
@@ -348,8 +348,8 @@ class TestKernelPath:
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             bisected = np.isnan(_predict(4, ns, 6, 100.0, pe, targets))
-            batch = _lambda_for_qm(4, ns, 6, 100.0, pe, targets)
-            alone = [_lambda_for_qm(4, np.array([n]), 6, 100.0, pe, target)[0] for n, target in zip(ns, targets)]
+            batch = lambda_for_qm(4, ns, 6, 100.0, pe, targets)
+            alone = [lambda_for_qm(4, np.array([n]), 6, 100.0, pe, target)[0] for n, target in zip(ns, targets)]
         assert bisected.tolist() == [False] * 3 + [True] * 4
         assert batch.tolist() == alone
         for n, target, lam in zip(ns, targets, batch):

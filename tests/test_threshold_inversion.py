@@ -28,9 +28,10 @@ PROPERTY = settings(max_examples=120, deadline=None, derandomize=True, database=
 ULPS = 128
 AMPLIFICATION = 8.0
 # Crossover entries lie within this many of Brent's tolerances, 1e-15 + 8.9e-16 q, of the exact
-# crossing, or no farther from it than the bisection scan's entry. On 571 sampled crossings the entries
-# were a median of 0.18 tolerances off, and the scan's 0.36; where the gap is flat, at low sensing SNR,
-# both went past 100.
+# crossing, or no farther from it than the bisection scan's entry. The Newton crossing closes its bracket
+# to one tolerance, as Brent's method does. On 259 sampled crossings (K 2-12, M 1-16) its entries were a
+# median of 0.076 tolerances off and at most 34, where Brent's were 0.086 and 118; where the gap is
+# flat, at low sensing SNR, entries of both go past 100.
 TOLERANCES = 64
 
 
@@ -143,7 +144,7 @@ def amplification(k, n, m, gamma, pe, lam):
 def crossing_error(k, n, m, gamma, pe, q):
     """Distance of q from the exact crossing of rules n and n+1, in Brent tolerances 1e-15 + 8.9e-16 q: one
     Newton step on the exact gap qf[n+1] - qf[n], each rule at its exact threshold for miss level q."""
-    lam = roc._lambda_for_qm(k, np.array([n, n + 1]), m, gamma, pe, np.array([q, q]))
+    lam = inv.lambda_for_qm(k, np.array([n, n + 1]), m, gamma, pe, np.array([q, q]))
 
     def gap(level):
         return (exact_false_alarm(k, n + 1, m, pe, exact_threshold(k, n + 1, m, gamma, pe, level, lam[1]))
@@ -177,7 +178,7 @@ def targets_between(k, pe, ns, fractions):
 def random_targets(k, m, gamma, pe, rng, size):
     """Rules, targets spread over their spans, and their thresholds from one lambda_for_qm call."""
     ns, target = targets_between(k, pe, rng.integers(1, k + 1, size=size), rng.random(size))
-    return ns, target, roc._lambda_for_qm(k, ns, m, gamma, pe, target)
+    return ns, target, inv.lambda_for_qm(k, ns, m, gamma, pe, target)
 
 
 @settings(PROPERTY, max_examples=100)
@@ -242,7 +243,8 @@ def test_crossover_entries_balance_the_two_rules_qf(scenario):
 
 
 @pytest.mark.parametrize("k, m, snr_db, snr_r_db", [(4, 6, 20.0, 10.0), (8, 6, 10.0, 0.0), (6, 1, 3.0, 5.0),
-                                                    (3, 9, 2.9, -2.72), (8, 16, 10.0, 20.0)])
+                                                    (3, 9, 2.9, -2.72), (8, 16, 10.0, 20.0),
+                                                    (6, 14, -4.7, 16.0), (3, 15, -1.601091509367857, 18.5625)])
 def test_crossover_table_matches_the_oracle_on_known_cases(k, m, snr_db, snr_r_db):
     gamma, channel = 10.0 ** (snr_db / 10.0), channel_from_snr_db(snr_r_db)
     table = roc.crossover_table(k, SensingParams(samples_m=m, threshold_lambda=0.0, avg_snr_gamma=gamma), channel)
@@ -251,7 +253,8 @@ def test_crossover_table_matches_the_oracle_on_known_cases(k, m, snr_db, snr_r_d
 
 class TestChannelLimits:
     """optimal-n bytes at the two channel limits. The scrambled ones are as written by the full bisection
-    (commit 211637d), which nothing inverts there; perfect-json prints the Newton thresholds' repr."""
+    (commit 211637d), which nothing inverts there; perfect-json prints the repr of the Newton thresholds
+    and crossing."""
 
     GOLDEN = {
         # pe == 0.5 exactly: every miss is flat in lam, so nothing is inverted
@@ -260,7 +263,7 @@ class TestChannelLimits:
             "json": "0899fcddf4190270a68eb2f999f451cc4e394fac663aab5ce74e9642db65f875"}),
         "perfect": (["--k", "8", "--perfect-report", "--target-qm", "0.046"], {
             "csv": "b50708dec20ec92893584b4fc14d949fa07efcdb838bbb5538f6c29749e8c193",
-            "json": "6885bc80f1fa94389aaff11793a1fe633262b5bd307de02394caa015749efbf4"}),
+            "json": "25213236bb611a4ea7fd56cba91c2a0cba6eee73cf90d4f86b1d3a44c1c8b7b1"}),
     }
 
     @pytest.mark.parametrize("fmt", ["csv", "json"])
@@ -331,6 +334,25 @@ class TestMathAgainstMpmath:
                     _, slope = _local_pm_parts(m, gamma, lam)
                     exact = mp.diff(pm, mp.mpf(lam))
                     assert abs(mp.mpf(float(slope)) / exact - 1) < 1e-12, (gamma, lam)
+
+    @pytest.mark.parametrize("m", [1, 2, 6, 16, 150])
+    def test_roc_slope_is_the_derivative_of_qf_in_qm(self, m):
+        with mp.workdps(50):
+            for lam in (0.05, 1.0, 2.0 * m, 8.0 * m + 12.0):
+                # pf = 1 - P(M, lam/2): differentiate whichever tail is not near 1, so no digits cancel
+                lower = lam <= 2.0 * m
+                exact = mp.diff(lambda x: -mp.gammainc(m, 0, x / 2, regularized=True) if lower
+                                else mp.gammainc(m, x / 2, mp.inf, regularized=True), mp.mpf(lam))
+                assert abs(-mp.exp(mp.mpf(float(inv._log_pf_slope(m, lam)))) / exact - 1) < 1e-12, lam
+            # thresholds at local false alarms 0.5 and 0.01, where neither local probability is so near 0 or 1
+            # that its own rounding moves the slope
+            for lam in 2.0 * _sp.gammainccinv(m, np.array([0.5, 0.01])):
+                for gamma in (0.3, 3.0, 100.0):
+                    for k, n, pe in [(4, 2, 0.03), (8, 1, 1e-4), (8, 8, 0.2), (12, 5, 1e-9)]:
+                        exact = (mp.diff(lambda x: exact_false_alarm(k, n, m, pe, x), mp.mpf(lam))
+                                 / mp.diff(lambda x: exact_miss(k, n, m, gamma, pe, x), mp.mpf(lam)))
+                        slope = inv._roc_slope(k, n, m, gamma, pe, lam)
+                        assert abs(mp.mpf(float(slope)) / exact - 1) < 1e-12, (lam, gamma, k, n, pe)
 
 
 class TestTieTolerance:
