@@ -21,7 +21,7 @@ import numpy as np
 from scipy import special as _sp
 
 from .fusion import _flip, _fused_qf, _fused_qm
-from .local_sensing import _local_pf, _local_pm, _local_pm_parts
+from .local_sensing import _local_pf, _local_pm, _local_pm_parts, _threshold_for_pf
 
 # The bisection starts at local false alarm 1e-9 and stops within these tolerances.
 _PF_SWEEP_LO = 1e-9
@@ -102,7 +102,7 @@ def _predict(k: int, n, samples_m: int, gamma: float, pe: float, target):
     goal = sign * np.log(np.where(right, 1.0 - local, local))
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
         # start from a log-spaced table of the miss around the false-alarm sweep's end
-        grid = math.log(2.0 * _sp.gammainccinv(samples_m, _PF_SWEEP_LO)) + np.arange(-64, 33) / 4.0
+        grid = math.log(_threshold_for_pf(samples_m, _PF_SWEEP_LO)) + np.arange(-64, 33) / 4.0
         table = _local_pm(samples_m, gamma, np.exp(grid))
         u = np.empty(idx.size)
         for side, curve in ((~right, np.log(table)), (right, -np.log1p(-table))):
@@ -139,7 +139,7 @@ def _bisection(k: int, n, samples_m: int, gamma: float, pe: float, target):
     """Plain bisection: double the bracket [0, 2 Q^-1(M, 1e-9)] until the fused miss reaches the target,
     then halve it until it is within the tolerances, keeping hi where ``miss < target`` fails."""
     short = lambda lam: _fused_qm(k, n, _local_pm(samples_m, gamma, lam), pe) < target
-    hi = np.full(target.shape, 2.0 * _sp.gammainccinv(samples_m, _PF_SWEEP_LO))
+    hi = np.full(target.shape, _threshold_for_pf(samples_m, _PF_SWEEP_LO))
     for _ in range(200):
         below = short(hi)
         if not below.any():
@@ -263,7 +263,7 @@ def _table_signs(k: int, pair, samples_m: int, gamma: float, pe: float, qs, tie:
     """
     rules, row = np.unique(pair, return_inverse=True)
     row = row.reshape(pair.shape)
-    lam = np.exp(math.log(2.0 * _sp.gammainccinv(samples_m, _PF_SWEEP_LO)) + _TABLE_SPAN)
+    lam = np.exp(math.log(_threshold_for_pf(samples_m, _PF_SWEEP_LO)) + _TABLE_SPAN)
     # the table ends at lam = 0 and lam = inf, between which every threshold lies
     pm = np.concatenate(([0.0], _local_pm(samples_m, gamma, lam), [1.0]))
     pf = np.concatenate(([1.0], _local_pf(samples_m, lam), [0.0]))

@@ -6,10 +6,12 @@ Subcommands:
   simulate   Monte Carlo sweep with the analytical columns alongside
   optimal-n  adaptive vote-threshold selection for a target miss probability
 
-A flat key = value config file may supply any field; command line flags win
-over the file. All dB to linear conversions happen here, at the ingestion
-boundary. Exit codes: 0 success, 2 configuration error, 3 output I/O error,
-4 infeasible miss-detection target.
+Each field is declared once, in ``_FIELDS``. A flat key = value config file
+may supply any field; command line flags win over the file, and a flag for a
+threshold source or a reporting channel replaces the file's choice of it.
+All dB to linear conversions happen here, at the ingestion boundary. Exit
+codes: 0 success, 2 configuration error, 3 output I/O error, 4 infeasible
+miss-detection target.
 """
 from __future__ import annotations
 
@@ -19,7 +21,6 @@ import functools
 import json
 import math
 import sys
-from dataclasses import replace
 from typing import Callable, NamedTuple, Optional, Sequence
 
 import numpy as np
@@ -43,74 +44,58 @@ class ConfigError(ValueError):
     """Invalid or missing run configuration; the message names the field."""
 
 
-@functools.cache
-def _build_parser() -> argparse.ArgumentParser:
-    """The command line parser, built on first use and shared by later ``main`` calls."""
-    parser = argparse.ArgumentParser(
-        prog="coopsense",
-        description="Cooperative spectrum sensing analysis and simulation",
-    )
-    sub = parser.add_subparsers(dest="command", required=True)
-
-    def common(p, grids=False, votes=True):
-        p.add_argument("--config", help="flat key = value config file; flags win over it")
-        p.add_argument("--k", type=int, help="number of cooperating radios K")
-        if votes:  # optimal-n picks the rule itself
-            p.add_argument("--n", type=int, action="append",
-                           help="vote threshold n (repeatable where a rule sweep makes sense)")
-        p.add_argument("--samples-m", type=int, help="energy detector samples per sensing event M")
-        p.add_argument("--snr-db", type=float, help="average sensing SNR in dB")
-        p.add_argument("--report-snr-db", type=float, help="reporting channel SNR in dB")
-        p.add_argument("--perfect-report", action="store_const", const=True, default=None,
-                       help="error-free reporting channel (bit error probability exactly 0)")
-        p.add_argument("--out", help="output file path (stdout when omitted)")
-        p.add_argument("--format", choices=("csv", "json"), help="output format, default csv")
-        if grids:
-            p.add_argument("--lambda", type=float, help="single detection threshold")
-            p.add_argument("--lambda-grid", help="linear threshold grid lo:hi:count")
-            p.add_argument("--pf-grid", help="log-spaced local false alarm grid lo:hi:count")
-
-    p = sub.add_parser("analyze", help="closed-form probabilities at one operating point")
-    common(p)
-    p.add_argument("--lambda", type=float, help="detection threshold")
-
-    p = sub.add_parser("roc", help="analytical ROC sweep to a file")
-    common(p, grids=True)
-
-    p = sub.add_parser("simulate", help="Monte Carlo sweep to a file")
-    common(p, grids=True)
-    p.add_argument("--trials", type=int, help="number of Monte Carlo trials")
-    p.add_argument("--seed", type=int, help="simulation seed (64-bit unsigned)")
-    p.add_argument("--workers", type=int, help="worker threads; the output does not depend on it")
-
-    p = sub.add_parser("optimal-n", help="adaptive vote threshold for a target miss probability")
-    common(p, votes=False)
-    p.add_argument("--target-qm", type=float, help="target fused miss-detection probability")
-    return parser
-
-
 # ---------------------------------------------------------------------------
 # configuration assembly
 
-# Every config field, keyed by its config-file name (also its argparse dest),
-# with the parser of its config-file text.
+class _Field(NamedTuple):
+    """One config field: the parser of its config-file text, the commands whose
+    flag sets it, that flag's ``add_argument`` options, and an optional check:
+    a value must pass ``test``, which ``rule`` states."""
+
+    parse: Callable[[str], object]
+    commands: tuple
+    flag: dict
+    test: Optional[Callable[[object], bool]] = None
+    rule: str = ""
+
+
+_ALL = ("analyze", "roc", "simulate", "optimal-n")
+_SWEEPS = ("roc", "simulate")
+_POSITIVE = (lambda v: v >= 1, "must be a positive integer")
+
+# Every config field, keyed by its config-file name, which is also its argparse
+# dest and, with '-' for '_', its flag. The flags appear in --help in this order.
 _FIELDS = {
-    "k": int,
-    "n": lambda s: [int(v) for v in s.split(",")],
-    "samples_m": int,
-    "snr_db": float,
-    "report_snr_db": float,
-    "perfect_report": lambda s: {"true": True, "false": False}[s.lower()],
-    "lambda": float,
-    "lambda_grid": str,
-    "pf_grid": str,
-    "target_qm": float,
-    "trials": int,
-    "seed": int,
-    "workers": int,
-    "out": str,
-    "format": str,
+    "k": _Field(int, _ALL, dict(type=int, help="number of cooperating radios K"), *_POSITIVE),
+    "n": _Field(lambda s: [int(v) for v in s.split(",")], _ALL[:3],  # optimal-n picks the rule itself
+                dict(type=int, action="append",
+                     help="vote threshold n (repeatable where a rule sweep makes sense)")),
+    "samples_m": _Field(int, _ALL, dict(type=int, help="energy detector samples per sensing event M"),
+                        *_POSITIVE),
+    "snr_db": _Field(float, _ALL, dict(type=float, help="average sensing SNR in dB")),
+    "report_snr_db": _Field(float, _ALL, dict(type=float, help="reporting channel SNR in dB")),
+    "perfect_report": _Field(lambda s: {"true": True, "false": False}[s.lower()], _ALL,
+                             dict(action="store_const", const=True, default=None,
+                                  help="error-free reporting channel (bit error probability exactly 0)")),
+    "out": _Field(str, _ALL, dict(help="output file path (stdout when omitted)")),
+    "format": _Field(str, _ALL, dict(choices=("csv", "json"), help="output format, default csv"),
+                     lambda v: v in ("csv", "json"), "must be 'csv' or 'json'"),
+    "lambda": _Field(float, _ALL[:3], dict(type=float, help="single detection threshold"),
+                     lambda v: math.isfinite(v) and v >= 0, "must be finite and >= 0"),
+    "lambda_grid": _Field(str, _SWEEPS, dict(help="linear threshold grid lo:hi:count")),
+    "pf_grid": _Field(str, _SWEEPS, dict(help="log-spaced local false alarm grid lo:hi:count")),
+    "trials": _Field(int, ("simulate",), dict(type=int, help="number of Monte Carlo trials"), *_POSITIVE),
+    "seed": _Field(int, ("simulate",), dict(type=int, help="simulation seed (64-bit unsigned)"),
+                   lambda v: 0 <= v < 2**64, "must be a 64-bit unsigned integer"),
+    "workers": _Field(int, ("simulate",),
+                      dict(type=int, help="worker threads; the output does not depend on it"), *_POSITIVE),
+    "target_qm": _Field(float, ("optimal-n",), dict(type=float, help="target fused miss-detection probability"),
+                        lambda v: 0.0 < v < 1.0, "must lie strictly inside (0, 1)"),
 }
+
+# A run's exclusive choices, threshold source and channel: a flag for one replaces the file's pick.
+_SOURCES = ("lambda", "lambda_grid", "pf_grid")
+_CHOICES = (_SOURCES, ("report_snr_db", "perfect_report"))
 
 
 def _read_config_file(path: str) -> dict:
@@ -131,55 +116,46 @@ def _read_config_file(path: str) -> dict:
         if key not in _FIELDS:
             raise ConfigError(f"config: unknown key {key!r} on line {lineno}")
         try:
-            values[key] = _FIELDS[key](value.strip())
+            values[key] = _FIELDS[key].parse(value.strip())
         except (ValueError, KeyError) as err:
             raise ConfigError(f"{key}: cannot parse {value.strip()!r}") from err
     return values
 
 
 def _merge_config(args: argparse.Namespace) -> dict:
-    cfg = _read_config_file(args.config) if getattr(args, "config", None) else {}
-    for key in _FIELDS:
-        value = getattr(args, key, None)
-        if value is not None:
-            cfg[key] = value
+    cfg = _read_config_file(args.config) if args.config else {}
+    flags = {key: value for key, value in vars(args).items() if key in _FIELDS and value is not None}
+    for choice in _CHOICES:
+        if not flags.keys().isdisjoint(choice):
+            cfg = {key: value for key, value in cfg.items() if key not in choice}
+    cfg.update(flags)
     cfg.setdefault("format", "csv")
-    if cfg["format"] not in ("csv", "json"):
-        raise ConfigError(f"format: must be 'csv' or 'json', got {cfg['format']!r}")
+    _require(cfg, "format")
     return cfg
 
 
 def _require(cfg: dict, key: str):
+    """``cfg[key]``, which must be given and pass its field's check."""
     if key not in cfg:
         raise ConfigError(f"{key}: required but not given")
-    return cfg[key]
-
-
-def _fusion_k(cfg: dict) -> int:
-    k = _require(cfg, "k")
-    if not isinstance(k, int) or k < 1:
-        raise ConfigError(f"k: must be a positive integer, got {k!r}")
-    return k
+    value, field = cfg[key], _FIELDS[key]
+    if field.test is not None and not field.test(value):
+        raise ConfigError(f"{key}: {field.rule}, got {value!r}")
+    return value
 
 
 def _vote_list(cfg: dict, k: int) -> list[int]:
     ns = _require(cfg, "n")
-    if isinstance(ns, int):
-        ns = [ns]
     for n in ns:
-        if not isinstance(n, int) or not 1 <= n <= k:
+        if not 1 <= n <= k:
             raise ConfigError(f"n: each vote threshold must satisfy 1 <= n <= k, got {n!r}")
     return sorted(set(ns))
 
 
 def _sensing_template(cfg: dict) -> SensingParams:
-    m = _require(cfg, "samples_m")
-    if not isinstance(m, int) or m < 1:
-        raise ConfigError(f"samples_m: must be a positive integer, got {m!r}")
-    snr_db = _require(cfg, "snr_db")
+    m, snr_db = _require(cfg, "samples_m"), _require(cfg, "snr_db")
     try:
-        return SensingParams(samples_m=m, threshold_lambda=0.0,
-                             avg_snr_gamma=db_to_linear(float(snr_db)))
+        return SensingParams(samples_m=m, threshold_lambda=0.0, avg_snr_gamma=db_to_linear(snr_db))
     except ValueError as err:
         raise ConfigError(f"snr_db: {err}") from err
 
@@ -194,17 +170,15 @@ def _channel(cfg: dict) -> ReportChannel:
     if snr is None:
         raise ConfigError("report_snr_db: required unless perfect_report is set")
     try:
-        return channel_from_snr_db(float(snr))
+        return channel_from_snr_db(snr)
     except ValueError as err:
         raise ConfigError(f"report_snr_db: {err}") from err
 
 
 def _parse_grid(text: str, field: str):
-    parts = str(text).split(":")
-    if len(parts) != 3:
-        raise ConfigError(f"{field}: expected lo:hi:count, got {text!r}")
     try:
-        lo, hi, count = float(parts[0]), float(parts[1]), int(parts[2])
+        lo, hi, count = text.split(":")
+        lo, hi, count = float(lo), float(hi), int(count)
     except ValueError as err:
         raise ConfigError(f"{field}: expected lo:hi:count, got {text!r}") from err
     if not (math.isfinite(lo) and math.isfinite(hi)):
@@ -218,21 +192,14 @@ def _parse_grid(text: str, field: str):
     return lo, hi, count
 
 
-def _lambda(cfg: dict) -> float:
-    lam = float(_require(cfg, "lambda"))
-    if not math.isfinite(lam) or lam < 0:
-        raise ConfigError(f"lambda: must be finite and >= 0, got {lam!r}")
-    return lam
-
-
 def _lambda_values(cfg: dict, samples_m: int) -> np.ndarray:
     """The sweep's thresholds, strictly increasing."""
-    given = [key for key in ("lambda", "lambda_grid", "pf_grid") if key in cfg]
+    given = [key for key in _SOURCES if key in cfg]
     if len(given) != 1:
         raise ConfigError("lambda: give exactly one of lambda, lambda_grid, pf_grid, "
                           f"got {given or 'none'}")
     if "lambda" in cfg:
-        return np.array([_lambda(cfg)])
+        return np.array([_require(cfg, "lambda")])
     field = given[0]
     lo, hi, count = _parse_grid(cfg[field], field)
     if field == "lambda_grid":
@@ -362,13 +329,13 @@ def _output(out: Optional[str]):
 # commands
 
 def cmd_analyze(cfg: dict) -> int:
-    k = _fusion_k(cfg)
+    k = _require(cfg, "k")
     ns = _vote_list(cfg, k)
     if len(ns) != 1:
         raise ConfigError(f"n: analyze takes exactly one vote threshold, got {ns}")
     sensing = _sensing_template(cfg)
     channel = _channel(cfg)
-    sweep = RocSweep.of(k, ns, sensing, channel, np.array([_lambda(cfg)]))
+    sweep = RocSweep.of(k, ns, sensing, channel, np.array([_require(cfg, "lambda")]))
     qf, qm = sweep.fused(ns[0], slice(None))
     values = (sweep.pf[0], sweep.pm[0], sweep.pe, qf[0], qm[0], sweep.qf_floor[0], sweep.qm_floor[0])
     for key, value in zip(ROC_COLUMNS[2:], values):
@@ -380,7 +347,7 @@ def cmd_analyze(cfg: dict) -> int:
 
 
 def cmd_roc(cfg: dict) -> int:
-    k = _fusion_k(cfg)
+    k = _require(cfg, "k")
     ns = _vote_list(cfg, k)
     sensing = _sensing_template(cfg)
     channel = _channel(cfg)
@@ -391,23 +358,15 @@ def cmd_roc(cfg: dict) -> int:
 
 
 def cmd_simulate(cfg: dict) -> int:
-    k = _fusion_k(cfg)
+    k = _require(cfg, "k")
     ns = _vote_list(cfg, k)
     sensing = _sensing_template(cfg)
     channel = _channel(cfg)
     lambdas = _lambda_values(cfg, sensing.samples_m)
-    trials = _require(cfg, "trials")
-    seed = _require(cfg, "seed")
-    workers = cfg.get("workers", 1)
-    if not isinstance(workers, int) or workers < 1:
-        raise ConfigError(f"workers: must be a positive integer, got {workers!r}")
-    first = replace(sensing, threshold_lambda=float(lambdas[0]))
+    trials, seed = _require(cfg, "trials"), _require(cfg, "seed")
+    workers = _require(cfg, "workers") if "workers" in cfg else 1
     fusion = FusionConfig(num_radios_k=k, vote_threshold_n=ns[0])
-    try:
-        scenario = SimScenario(sensing=first, channel=channel, fusion=fusion, trials=trials, seed=seed)
-    except ValueError as err:
-        field = "trials" if "trials" in str(err) else "seed"
-        raise ConfigError(f"{field}: {err}") from err
+    scenario = SimScenario(sensing=sensing, channel=channel, fusion=fusion, trials=trials, seed=seed)
     grid = run_grid(scenario, lambdas, ns, workers=workers)
     sweep = RocSweep.of(k, ns, sensing, channel, lambdas)
     with _output(cfg.get("out")) as fh:
@@ -416,17 +375,10 @@ def cmd_simulate(cfg: dict) -> int:
 
 
 def cmd_optimal_n(cfg: dict) -> int:
-    k = _fusion_k(cfg)
+    k = _require(cfg, "k")
     sensing = _sensing_template(cfg)
     channel = _channel(cfg)
-    target = _require(cfg, "target_qm")
-    try:
-        target = float(target)
-    except (TypeError, ValueError) as err:
-        raise ConfigError(f"target_qm: {err}") from err
-    if not (math.isfinite(target) and 0.0 < target < 1.0):
-        raise ConfigError(f"target_qm: must lie strictly inside (0, 1), got {target!r}")
-    result = optimal_n(target, k, sensing, channel)
+    result = optimal_n(_require(cfg, "target_qm"), k, sensing, channel)
     lines = [
         ("target_qm", result.target_qm),
         ("chosen_n", result.n),
@@ -451,12 +403,30 @@ def cmd_optimal_n(cfg: dict) -> int:
     return EXIT_OK
 
 
-_HANDLERS = {
-    "analyze": cmd_analyze,
-    "roc": cmd_roc,
-    "simulate": cmd_simulate,
-    "optimal-n": cmd_optimal_n,
+# Each command's handler and its --help line.
+_COMMANDS = {
+    "analyze": (cmd_analyze, "closed-form probabilities at one operating point"),
+    "roc": (cmd_roc, "analytical ROC sweep to a file"),
+    "simulate": (cmd_simulate, "Monte Carlo sweep to a file"),
+    "optimal-n": (cmd_optimal_n, "adaptive vote threshold for a target miss probability"),
 }
+
+
+@functools.cache
+def _build_parser() -> argparse.ArgumentParser:
+    """The command line parser, built on first use and shared by later ``main`` calls."""
+    parser = argparse.ArgumentParser(
+        prog="coopsense",
+        description="Cooperative spectrum sensing analysis and simulation",
+    )
+    sub = parser.add_subparsers(dest="command", required=True)
+    for command, (_, text) in _COMMANDS.items():
+        p = sub.add_parser(command, help=text)
+        p.add_argument("--config", help="flat key = value config file; flags win over it")
+        for key, field in _FIELDS.items():
+            if command in field.commands:
+                p.add_argument("--" + key.replace("_", "-"), **field.flag)
+    return parser
 
 
 def main(argv: Optional[Sequence[str]] = None) -> int:
@@ -464,7 +434,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     args = parser.parse_args(argv)
     try:
         cfg = _merge_config(args)
-        return _HANDLERS[args.command](cfg)
+        return _COMMANDS[args.command][0](cfg)
     except ConfigError as err:
         print(f"config error: {err}", file=sys.stderr)
         return EXIT_CONFIG

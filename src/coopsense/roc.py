@@ -219,7 +219,7 @@ def _crossovers(k: int, ns, samples_m: int, gamma: float, pe: float):
     brackets = []
     for start in range(0, live.size, _SCAN_PAIRS):
         part = live[start:start + _SCAN_PAIRS].tolist()
-        qs = np.array([np.geomspace(max(lo[p], 1e-300), hi[p], points) for p in part])
+        qs = np.geomspace(np.maximum(lo[part], 1e-300), hi[part], points, axis=1)
         n = np.repeat(ns[part], points)
         signs = _inversion.gap_signs(k, np.array([n, n + 1]), m, g, pe, qs.ravel(), _QF_TIE_TOL)
         for p, q, worse, better in zip(part, qs, *(v.reshape(-1, points) for v in signs)):

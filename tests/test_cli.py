@@ -519,7 +519,56 @@ class TestConfigHandling:
     def test_every_flag_is_a_config_field(self, command):
         # the flag merge reads each config field from the argparse attribute of the same name
         dests = set(vars(_build_parser().parse_args([command]))) - {"command", "config"}
-        assert dests <= set(_FIELDS)
+        assert dests == {key for key, field in _FIELDS.items() if command in field.commands}
+
+    ANALYZE = ["analyze", "--k", "4", "--n", "1", "--samples-m", "6", "--snr-db", "20", "--lambda", "12"]
+
+    @pytest.mark.parametrize("text, message", [
+        ("k 4\n", "config: line 1 is not 'key = value': 'k 4'"),
+        ("k = four\n", "k: cannot parse 'four'"),
+        ("format = xml\n", "format: must be 'csv' or 'json', got 'xml'"),
+        ("perfect_report = false\n", "report_snr_db: required unless perfect_report is set"),
+    ])
+    def test_config_file_errors_are_named(self, capsys, tmp_path, text, message):
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text(text)
+        assert main([*self.ANALYZE, "--config", str(cfg)]) == 2
+        assert capsys.readouterr().err == f"config error: {message}\n"
+
+    def test_unreadable_config_file_is_named(self, capsys, tmp_path):
+        path = str(tmp_path / "missing.cfg")
+        assert main([*self.ANALYZE, "--config", path]) == 2
+        assert capsys.readouterr().err.startswith(f"config error: config: cannot read {path!r}")
+
+    def test_perfect_report_from_the_file(self, capsys, tmp_path):
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text("perfect_report = true\n")
+        assert main([*self.ANALYZE, "--config", str(cfg)]) == 0
+        assert parse_kv(capsys.readouterr().out)["pe"] == "0"
+
+    CHOICE_FILE = "k = 4\nn = 1\nsamples_m = 6\nsnr_db = 20\nreport_snr_db = 10\nlambda = 12\n"
+
+    @pytest.mark.parametrize("flags, dropped", [
+        (["--lambda-grid", "8:16:3"], "lambda = 12\n"),
+        (["--pf-grid", "1e-6:0.5:4"], "lambda = 12\n"),
+        (["--perfect-report"], "report_snr_db = 10\n"),
+    ])
+    def test_a_flag_replaces_the_files_exclusive_choice(self, capsys, tmp_path, flags, dropped):
+        cfg, alone = tmp_path / "run.cfg", tmp_path / "alone.cfg"
+        cfg.write_text(self.CHOICE_FILE)
+        alone.write_text(self.CHOICE_FILE.replace(dropped, ""))
+        assert main(["roc", "--config", str(cfg), *flags]) == 0
+        merged = capsys.readouterr().out
+        assert main(["roc", "--config", str(alone), *flags]) == 0
+        assert merged == capsys.readouterr().out != ""
+
+    @pytest.mark.parametrize("flags", [["--lambda", "3", "--pf-grid", "0.1:0.5:5"],
+                                       ["--report-snr-db", "10", "--perfect-report"]])
+    def test_two_flags_of_one_choice_still_conflict(self, capsys, tmp_path, flags):
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text(self.CHOICE_FILE)
+        assert main(["roc", "--config", str(cfg), *flags]) == 2
+        assert capsys.readouterr().err.startswith(("config error: lambda:", "config error: report_snr_db:"))
 
     def test_unknown_config_key_is_named(self, tmp_path):
         cfg = tmp_path / "bad.cfg"
