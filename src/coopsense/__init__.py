@@ -21,12 +21,10 @@ from .reporting import ReportChannel, channel_from_snr_db, perfect_channel
 from .roc import (
     CrossoverTable,
     InfeasibleTargetError,
-    NoCrossoverError,
     OptimalRule,
     RocSweep,
     crossover_table,
     optimal_n,
-    qm_star,
 )
 
 __version__ = "0.1.0"
@@ -41,7 +39,6 @@ __all__ = [
     "RocSweep",
     "CrossoverTable",
     "OptimalRule",
-    "NoCrossoverError",
     "InfeasibleTargetError",
     "gaussian_q",
     "db_to_linear",
@@ -56,7 +53,6 @@ __all__ = [
     "asymptotic_qf",
     "asymptotic_qm",
     "run_grid",
-    "qm_star",
     "crossover_table",
     "optimal_n",
 ]

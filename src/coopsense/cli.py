@@ -152,10 +152,10 @@ def _vote_list(cfg: dict, k: int) -> list[int]:
     return sorted(set(ns))
 
 
-def _sensing_template(cfg: dict) -> SensingParams:
+def _sensing(cfg: dict) -> SensingParams:
     m, snr_db = _require(cfg, "samples_m"), _require(cfg, "snr_db")
     try:
-        return SensingParams(samples_m=m, threshold_lambda=0.0, avg_snr_gamma=db_to_linear(snr_db))
+        return SensingParams(samples_m=m, avg_snr_gamma=db_to_linear(snr_db))
     except ValueError as err:
         raise ConfigError(f"snr_db: {err}") from err
 
@@ -333,7 +333,7 @@ def cmd_analyze(cfg: dict) -> int:
     ns = _vote_list(cfg, k)
     if len(ns) != 1:
         raise ConfigError(f"n: analyze takes exactly one vote threshold, got {ns}")
-    sensing = _sensing_template(cfg)
+    sensing = _sensing(cfg)
     channel = _channel(cfg)
     sweep = RocSweep.of(k, ns, sensing, channel, np.array([_require(cfg, "lambda")]))
     qf, qm = sweep.fused(ns[0], slice(None))
@@ -349,7 +349,7 @@ def cmd_analyze(cfg: dict) -> int:
 def cmd_roc(cfg: dict) -> int:
     k = _require(cfg, "k")
     ns = _vote_list(cfg, k)
-    sensing = _sensing_template(cfg)
+    sensing = _sensing(cfg)
     channel = _channel(cfg)
     sweep = RocSweep.of(k, ns, sensing, channel, _lambda_values(cfg, sensing.samples_m))
     with _output(cfg.get("out")) as fh:
@@ -360,7 +360,7 @@ def cmd_roc(cfg: dict) -> int:
 def cmd_simulate(cfg: dict) -> int:
     k = _require(cfg, "k")
     ns = _vote_list(cfg, k)
-    sensing = _sensing_template(cfg)
+    sensing = _sensing(cfg)
     channel = _channel(cfg)
     lambdas = _lambda_values(cfg, sensing.samples_m)
     trials, seed = _require(cfg, "trials"), _require(cfg, "seed")
@@ -376,13 +376,13 @@ def cmd_simulate(cfg: dict) -> int:
 
 def cmd_optimal_n(cfg: dict) -> int:
     k = _require(cfg, "k")
-    sensing = _sensing_template(cfg)
+    sensing = _sensing(cfg)
     channel = _channel(cfg)
     result = optimal_n(_require(cfg, "target_qm"), k, sensing, channel)
     lines = [
         ("target_qm", result.target_qm),
         ("chosen_n", result.n),
-        ("interval_n", result.interval_n),
+        ("interval_n", result.n),
         ("direct_n", result.direct_n),
         ("agree", result.agree),
         ("table_monotone", result.table.is_monotone),

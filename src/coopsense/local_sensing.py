@@ -1,7 +1,8 @@
 """Closed-form energy detector performance for a single radio in Rayleigh fading.
 
 The detector compares the normalized received energy over ``samples_m``
-complex samples against the threshold ``threshold_lambda``. Under the
+complex samples against a threshold lambda, which each function takes as its
+own argument rather than from :class:`SensingParams`. Under the
 noise-only hypothesis the statistic is chi-square with 2M degrees of freedom;
 under an active primary user it is noncentral chi-square whose noncentrality
 is twice the instantaneous SNR, which is exponentially distributed with mean
@@ -30,22 +31,17 @@ __all__ = [
 class SensingParams:
     """Per-radio detector configuration.
 
-    samples_m         number of complex samples per sensing event (M >= 1)
-    threshold_lambda  decision threshold on the normalized energy statistic
-    avg_snr_gamma     average SNR, linear scale; convert dB at the ingestion
-                      boundary only
+    samples_m      number of complex samples per sensing event (M >= 1)
+    avg_snr_gamma  average SNR, linear scale; convert dB at the ingestion
+                   boundary only
     """
 
     samples_m: int
-    threshold_lambda: float
     avg_snr_gamma: float
 
     def __post_init__(self):
         if not isinstance(self.samples_m, int) or self.samples_m < 1:
             raise ValueError(f"samples_m must be a positive integer, got {self.samples_m!r}")
-        lam = self.threshold_lambda
-        if not (isinstance(lam, (int, float)) and math.isfinite(lam) and lam >= 0):
-            raise ValueError(f"threshold_lambda must be finite and >= 0, got {lam!r}")
         g = self.avg_snr_gamma
         if not (isinstance(g, (int, float)) and math.isfinite(g) and g > 0):
             raise ValueError(f"avg_snr_gamma must be finite and > 0, got {g!r}")
@@ -92,12 +88,19 @@ def _local_pm(samples_m: int, gamma: float, lam):
     return _local_pm_parts(samples_m, gamma, lam)[0]
 
 
-def local_pf(p: SensingParams) -> Probability:
+def _checked(lam) -> float:
+    """The threshold ``lam``, which must be finite and >= 0."""
+    if not (isinstance(lam, (int, float)) and math.isfinite(lam) and lam >= 0):
+        raise ValueError(f"threshold_lambda must be finite and >= 0, got {lam!r}")
+    return lam
+
+
+def local_pf(p: SensingParams, threshold_lambda: float) -> Probability:
     """False alarm probability: chi-square(2M) tail at the threshold."""
-    return Probability(_local_pf(p.samples_m, p.threshold_lambda))
+    return Probability(_local_pf(p.samples_m, _checked(threshold_lambda)))
 
 
-def local_pd(p: SensingParams) -> Probability:
+def local_pd(p: SensingParams, threshold_lambda: float) -> Probability:
     """Detection probability averaged over Rayleigh fading.
 
     The exponential average of the noncentral chi-square tail has a closed
@@ -105,15 +108,15 @@ def local_pd(p: SensingParams) -> Probability:
     algebraically identical to the textbook finite-sum expression but does
     not cancel catastrophically at low average SNR.
     """
-    m, lam, g = p.samples_m, p.threshold_lambda, p.avg_snr_gamma
+    m, lam, g = p.samples_m, _checked(threshold_lambda), p.avg_snr_gamma
     if m == 1:
         return as_probability(math.exp(-lam / (2.0 + 2.0 * g)))
     return as_probability(_sp.gammaincc(m - 1, lam / 2.0) + _fade(m, g, lam))
 
 
-def local_pm(p: SensingParams) -> Probability:
+def local_pm(p: SensingParams, threshold_lambda: float) -> Probability:
     """Miss detection probability, the complement of :func:`local_pd`."""
-    return Probability(_local_pm(p.samples_m, p.avg_snr_gamma, p.threshold_lambda))
+    return Probability(_local_pm(p.samples_m, p.avg_snr_gamma, _checked(threshold_lambda)))
 
 
 def threshold_for_pf(target_pf: float, samples_m: int) -> float:

@@ -32,19 +32,25 @@ class Probability(float):
         return super().__new__(cls, v)
 
 
-def as_probability(value, tol: float = 1e-9) -> Probability:
-    """Clamp floating-point excursions within ``tol`` of [0, 1]; reject anything worse."""
+_DUST_TOL = 1e-9  # how far outside [0, 1] as_probability treats a value as rounding dust
+
+
+def as_probability(value) -> Probability:
+    """Clamp floating-point excursions within ``_DUST_TOL`` of [0, 1]; reject anything worse."""
     v = float(value)
-    if -tol <= v < 0.0:
+    if -_DUST_TOL <= v < 0.0:
         v = 0.0
-    elif 1.0 < v <= 1.0 + tol:
+    elif 1.0 < v <= 1.0 + _DUST_TOL:
         v = 1.0
     return Probability(v)
 
 
 def db_to_linear(db: float) -> float:
-    """Convert a power ratio in decibels to linear scale."""
-    return 10.0 ** (db / 10.0)
+    """Convert a power ratio in decibels to linear scale; inf past the float range, for callers to reject."""
+    try:
+        return 10.0 ** (db / 10.0)
+    except OverflowError:
+        return math.inf
 
 
 def gaussian_q(x: float) -> Probability:

@@ -82,7 +82,7 @@ _OFFSET_REPORT = 2
 
 @dataclass(frozen=True)
 class SimScenario:
-    """Everything one simulation run depends on."""
+    """Everything one simulation run depends on; of ``fusion``, :func:`run_grid` reads only K."""
 
     sensing: SensingParams
     channel: ReportChannel
@@ -278,7 +278,7 @@ def run_grid(scenario: SimScenario, lambdas: Sequence[float], n_values: Sequence
              workers: int = 1) -> SimGrid:
     """Simulate every (vote rule, threshold) pair on shared random draws.
 
-    The scenario's own threshold and rule are not simulated unless listed.
+    The scenario's own vote rule is not simulated unless listed.
     Sharing draws gives common random numbers across the grid: a single-cell
     grid is bit-identical to the same cell of any larger grid, and empirical
     ROC curves are monotone in the threshold realization by realization.

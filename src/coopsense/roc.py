@@ -24,11 +24,11 @@ import importlib.util
 import math
 import sys
 from dataclasses import dataclass
-from typing import Dict, NamedTuple, Optional, Tuple
+from typing import Dict, NamedTuple
 
 import numpy as np
 
-from .fusion import FusionConfig, _fused_qf, _fused_qm
+from .fusion import _fused_qf, _fused_qm
 from .local_sensing import SensingParams, _local_pf, _local_pm
 from .mathx import Probability
 from .reporting import ReportChannel
@@ -37,9 +37,7 @@ __all__ = [
     "RocSweep",
     "CrossoverTable",
     "OptimalRule",
-    "NoCrossoverError",
     "InfeasibleTargetError",
-    "qm_star",
     "crossover_table",
     "optimal_n",
 ]
@@ -74,18 +72,9 @@ _SCAN_PAIRS = 16
 # The tolerance is absolute: once both rules' false-alarm floors are below it,
 # the larger rule's lead where qf nears those floors never counts, so a
 # crossover is found only where its lead exceeds 1e-9 somewhere on the scan,
-# and otherwise the smaller rule keeps the whole band (NoCrossoverError with
-# dominant=n), even though the larger rule's qf is lower there.
+# and otherwise the smaller rule keeps the whole band (a crossover table entry
+# of inf), even though the larger rule's qf is lower there.
 _QF_TIE_TOL = 1e-9
-
-
-class NoCrossoverError(RuntimeError):
-    """One vote rule dominates the other over the whole threshold sweep."""
-
-    def __init__(self, n: int, dominant: int):
-        super().__init__(f"no crossover between rules n={n} and n={n + 1}: rule n={dominant} dominates")
-        self.n = n
-        self.dominant = dominant
 
 
 class InfeasibleTargetError(ValueError):
@@ -121,7 +110,7 @@ class RocSweep(NamedTuple):
     @classmethod
     def of(cls, k: int, ns: list[int], sensing: SensingParams, channel: ReportChannel,
            lambdas: np.ndarray) -> "RocSweep":
-        """The sweep of rules ``ns`` over thresholds ``lambdas``; ``sensing``'s own threshold is ignored."""
+        """The sweep of rules ``ns`` over thresholds ``lambdas``."""
         lambdas = np.asarray(lambdas, dtype=float)
         if not all(1 <= n <= k for n in ns):
             raise ValueError(f"ns must be vote thresholds in [1, {k}], got {ns!r}")
@@ -161,8 +150,7 @@ class OptimalRule:
     """Outcome of the adaptive vote-threshold selection."""
 
     target_qm: float
-    n: int
-    interval_n: int
+    n: int  # the interval rule's choice
     direct_n: int
     agree: bool
     achieved_lambda: float  # inf when the miss constraint never binds
@@ -171,29 +159,24 @@ class OptimalRule:
     table: CrossoverTable
 
 
-def _rule_point(k: int, n, samples_m: int, gamma: float, pe: float, lam):
-    """Fused (qf, qm) arrays of rules n at thresholds lam, broadcast together.
-
-    lam = inf is the never-firing detector: qf is then the rule's floor and qm
-    its loose-threshold limit, the supremum of its miss probability.
-    """
-    return (_fused_qf(k, n, _local_pf(samples_m, lam), pe),
-            _fused_qm(k, n, _local_pm(samples_m, gamma, lam), pe))
-
-
 def _achieved(k: int, ns, samples_m: int, gamma: float, pe: float, target: float):
-    """(lambda, qf, qm) arrays of rules ns at the lowest false alarm whose miss meets the target;
-    lambda is inf where the target is at or above the loose limit (the constraint never binds)."""
+    """(lambda, qf, qm) arrays of rules ns at the lowest false alarm whose miss meets the target.
+
+    lambda is inf where the target is at or above the loose limit (the
+    constraint never binds): the never-firing detector, whose qf is the
+    rule's floor and qm its loose-threshold limit.
+    """
     from . import _inversion  # on first use, so only commands that invert a miss load it
 
     binds = target < _fused_qm(k, ns, 1.0, pe)
     lam = np.full(ns.shape, np.inf)
     lam[binds] = _inversion.lambda_for_qm(k, ns[binds], samples_m, gamma, pe, target)
-    return (lam, *_rule_point(k, ns, samples_m, gamma, pe, lam))
+    return (lam, _fused_qf(k, ns, _local_pf(samples_m, lam), pe),
+            _fused_qm(k, ns, _local_pm(samples_m, gamma, lam), pe))
 
 
 def _crossovers(k: int, ns, samples_m: int, gamma: float, pe: float):
-    """Crossover table entries of the rule pairs (n, n+1) for n in ns, and each pair's dominant rule.
+    """Crossover table entries of the rule pairs (n, n+1) for n in ns.
 
     Per pair, it scans the miss range where both rules are feasible, comparing
     their fused false alarms at equal miss probability (each rule at its own
@@ -205,9 +188,9 @@ def _crossovers(k: int, ns, samples_m: int, gamma: float, pe: float):
     call's miss levels are built in the loop, and only each pair's bracket
     and dominant rule are kept, so the scan's memory does not grow with K.
     The crossings of all pairs are one :func:`_inversion.crossings` solve,
-    whose every round inverts both rules of each unsettled pair. dominant is
-    0 where the rules cross and the entry is the crossing; where rule n
-    dominates the entry is inf, and where rule n+1 does it is n+1's floor.
+    whose every round inverts both rules of each unsettled pair. Where the
+    rules cross the entry is the crossing; where rule n dominates it is inf,
+    and where rule n+1 does it is n+1's floor.
     """
     from . import _inversion
 
@@ -239,92 +222,67 @@ def _crossovers(k: int, ns, samples_m: int, gamma: float, pe: float):
     entries = np.where(dominant == ns, math.inf, floor_b)
     if cross.size:
         entries[cross] = _inversion.crossings(k, ns[cross], m, g, pe, *zip(*brackets))
-    return entries, dominant
+    return entries
 
 
-def qm_star(fusion: FusionConfig, sensing: SensingParams, channel: ReportChannel) -> Probability:
-    """Miss level at which rules n and n+1 exchange superiority.
-
-    The scan and Newton solve of :func:`_crossovers` for this one pair: the
-    root of the gap between both rules' false alarms at their Newton
-    thresholds, within Brent's tolerance 1e-15 + 8.9e-16 q. Raises :class:`NoCrossoverError`
-    when one rule dominates throughout, which includes the perfect-channel
-    limit (smaller rule wins) and the fully scrambled pe = 0.5 channel, where
-    the comparison is a tie and the smaller rule is preferred.
-    """
-    k, n = fusion.num_radios_k, fusion.vote_threshold_n
-    if n >= k:
-        raise ValueError(f"crossover needs vote thresholds n and n+1 within K={k}, got n={n}")
-    entries, dominant = _crossovers(k, np.array([n]), sensing.samples_m, sensing.avg_snr_gamma, float(channel.pe))
-    if dominant[0]:
-        raise NoCrossoverError(n, dominant=int(dominant[0]))
-    return Probability(float(entries[0]))
+def _radios(num_radios_k) -> int:
+    """``num_radios_k``, which must be a positive integer."""
+    if not isinstance(num_radios_k, int) or num_radios_k < 1:
+        raise ValueError(f"num_radios_k must be a positive integer, got {num_radios_k!r}")
+    return num_radios_k
 
 
 def crossover_table(num_radios_k: int, sensing: SensingParams,
                     channel: ReportChannel) -> CrossoverTable:
     """Crossover miss levels for every consecutive rule pair 1..K-1, from one :func:`_crossovers` solve."""
-    ns = np.arange(1, num_radios_k)
-    entries, _ = _crossovers(num_radios_k, ns, sensing.samples_m, sensing.avg_snr_gamma, float(channel.pe))
+    ns = np.arange(1, _radios(num_radios_k))
+    entries = _crossovers(num_radios_k, ns, sensing.samples_m, sensing.avg_snr_gamma, float(channel.pe))
     return CrossoverTable(num_radios_k=num_radios_k, entries=dict(zip(ns.tolist(), entries.tolist())))
 
 
-def _direct_search(k: int, samples_m: int, gamma: float, pe: float,
-                   target: float) -> Tuple[int, float, float, float]:
-    """Constrained minimization: over rules and thresholds, the lowest fused
-    false alarm subject to the fused miss staying at or below the target.
-
-    Returns the chosen rule's (n, lambda, qf, qm).
-    """
-    ns = np.arange(1, k + 1)
-    ns = ns[target >= _fused_qm(k, ns, 0.0, pe)]  # the others cannot reach it at any threshold
-    if not ns.size:
-        raise InfeasibleTargetError(target, float(_fused_qm(k, 1, 0.0, pe)))
-    lam, qf, qm = _achieved(k, ns, samples_m, gamma, pe, target)
-    best = 0
-    for i in range(1, ns.size):
-        if qf[i] < qf[best] - _QF_TIE_TOL:
-            best = i
-    return int(ns[best]), float(lam[best]), float(qf[best]), float(qm[best])
-
-
 def optimal_n(target_qm: float, num_radios_k: int, sensing: SensingParams,
-              channel: ReportChannel, table: Optional[CrossoverTable] = None) -> OptimalRule:
+              channel: ReportChannel) -> OptimalRule:
     """Adaptive vote threshold for a target miss probability.
 
     Applies the interval rule over the crossover table: stay at n = 1 for
     targets at or below the first crossover, step up one rule per crossover
     passed, and use n = K beyond the last one. A direct constrained search
-    over (rule, threshold) is run alongside and both answers are reported;
-    ties go to the smaller rule. Raises :class:`InfeasibleTargetError` when
-    the target lies below every rule's miss floor.
+    runs alongside: among the rules whose miss floor the target reaches, the
+    one with the lowest fused false alarm at the target miss, ties going to
+    the smaller rule. Both answers are reported; the achieved point is the
+    interval rule's. Raises :class:`InfeasibleTargetError` when the target
+    lies below every rule's miss floor.
     """
     target = float(target_qm)
     if not 0.0 < target < 1.0 or not math.isfinite(target):
         raise ValueError(f"target_qm must lie strictly inside (0, 1), got {target_qm!r}")
-    if not isinstance(num_radios_k, int) or num_radios_k < 1:
-        raise ValueError(f"num_radios_k must be a positive integer, got {num_radios_k!r}")
+    k = _radios(num_radios_k)
     m, g, pe = sensing.samples_m, sensing.avg_snr_gamma, float(channel.pe)
-    min_floor = float(_fused_qm(num_radios_k, 1, 0.0, pe))
-    if target < min_floor:
-        raise InfeasibleTargetError(target, min_floor)
+    ns = np.arange(1, k + 1)
+    floors = _fused_qm(k, ns, 0.0, pe)
+    if target < floors[0]:  # rule 1 has the lowest floor
+        raise InfeasibleTargetError(target, float(floors[0]))
 
-    if table is None:
-        table = crossover_table(num_radios_k, sensing, channel)
-    interval_n = 1 + sum(1 for n in range(1, num_radios_k) if table.entries[n] < target)
-
-    direct_n, lam, qf, qm = _direct_search(num_radios_k, m, g, pe, target)
-    if interval_n != direct_n:
-        lam, qf, qm = (float(v[0]) for v in _achieved(num_radios_k, np.array([interval_n]), m, g, pe, target))
-
+    table = crossover_table(k, sensing, channel)
+    n = 1 + sum(1 for entry in table.entries.values() if entry < target)
+    # one evaluation of the feasible rules, the direct search's candidates, and of
+    # the interval rule's n, which may be infeasible when the table is not monotone
+    feasible = target >= floors
+    keep = feasible | (ns == n)
+    ns, feasible = ns[keep], feasible[keep]
+    lam, qf, qm = _achieved(k, ns, m, g, pe, target)
+    best = 0
+    for i in range(1, ns.size):
+        if feasible[i] and qf[i] < qf[best] - _QF_TIE_TOL:
+            best = i
+    direct_n, i = int(ns[best]), ns.tolist().index(n)
     return OptimalRule(
         target_qm=target,
-        n=interval_n,
-        interval_n=interval_n,
+        n=n,
         direct_n=direct_n,
-        agree=interval_n == direct_n,
-        achieved_lambda=lam,
-        achieved_qf=Probability(qf),
-        achieved_qm=Probability(qm),
+        agree=n == direct_n,
+        achieved_lambda=float(lam[i]),
+        achieved_qf=Probability(qf[i]),
+        achieved_qm=Probability(qm[i]),
         table=table,
     )

@@ -7,8 +7,6 @@ import math
 import subprocess
 import sys
 import time
-from dataclasses import replace
-
 import numpy as np
 from scipy import optimize
 
@@ -22,12 +20,12 @@ from coopsense.fusion import (
 from coopsense.local_sensing import SensingParams, local_pd, local_pf, local_pm, threshold_for_pf
 from coopsense.montecarlo import SimScenario, run_grid
 from coopsense.reporting import ReportChannel, channel_from_snr_db, perfect_channel
-from coopsense.roc import crossover_table, optimal_n, qm_star
+from coopsense.roc import crossover_table, optimal_n
 
 from enumeration import enumerate_rule
 
 # study scenario used throughout: 4 radios, 6 samples, 20 dB average SNR
-SENSING = SensingParams(samples_m=6, threshold_lambda=0.0, avg_snr_gamma=100.0)
+SENSING = SensingParams(samples_m=6, avg_snr_gamma=100.0)
 CH10 = channel_from_snr_db(10.0)
 CH5 = channel_from_snr_db(5.0)
 
@@ -88,7 +86,7 @@ def test_criterion_3_monte_carlo_validates_the_chain_and_the_relabeling():
     lambdas = sorted(threshold_for_pf(q, 6) for q in (0.9, 0.5, 0.2, 0.05, 0.01))
     n_values = [1, 2, 3, 4]  # 4 radios bound the vote sweep at 4 rules
     base = SimScenario(
-        sensing=replace(SENSING, threshold_lambda=lambdas[0]),
+        sensing=SENSING,
         channel=CH10,
         fusion=rule(4, 1),
         trials=1_000_000,
@@ -99,8 +97,7 @@ def test_criterion_3_monte_carlo_validates_the_chain_and_the_relabeling():
     max_z = 0.0
     min_z_mislabeled = math.inf
     for li, lam in enumerate(lambdas):
-        p = replace(SENSING, threshold_lambda=lam)
-        pf, pm, pd = float(local_pf(p)), float(local_pm(p)), float(local_pd(p))
+        pf, pm, pd = float(local_pf(SENSING, lam)), float(local_pm(SENSING, lam)), float(local_pd(SENSING, lam))
         for ni, n in enumerate(n_values):
             cfg = rule(4, n)
             qf_hat, qm_hat = float(grid.qf_hat[ni, li]), float(grid.qm_hat[ni, li])
@@ -125,8 +122,7 @@ def test_criterion_3_monte_carlo_validates_the_chain_and_the_relabeling():
 
 def _lambda_matching_qm(fusion, channel, target, sensing=SENSING):
     pe = channel.pe
-    f = lambda lam: float(fused_qm(fusion, local_pm(replace(sensing, threshold_lambda=lam)),
-                                   pe)) - target
+    f = lambda lam: float(fused_qm(fusion, local_pm(sensing, lam), pe)) - target
     hi = 100.0
     while f(hi) < 0.0:
         hi *= 2.0
@@ -143,8 +139,7 @@ def test_criterion_4_or_rule_dominates_with_perfect_reports():
         qf_by_rule = []
         for n in (1, 2, 3, 4):
             lam = _lambda_matching_qm(rule(4, n), channel, float(qm))
-            p = replace(SENSING, threshold_lambda=lam)
-            qf_by_rule.append(float(fused_qf(rule(4, n), local_pf(p), channel.pe)))
+            qf_by_rule.append(float(fused_qf(rule(4, n), local_pf(SENSING, lam), channel.pe)))
         gap = qf_by_rule[0] - min(qf_by_rule)
         worst_gap = max(worst_gap, gap)
         ok &= qf_by_rule[0] <= min(qf_by_rule) + 1e-12
@@ -163,17 +158,18 @@ def test_criterion_5_reporting_errors_create_floors_and_crossovers():
         lam_tail = threshold_for_pf(1e-12, 6)
         floors = []
         for n in (1, 2, 3, 4):
-            p = replace(SENSING, threshold_lambda=lam_tail)
-            qf_tail = float(fused_qf(rule(4, n), local_pf(p), pe))
+            qf_tail = float(fused_qf(rule(4, n), local_pf(SENSING, lam_tail), pe))
             floor = float(asymptotic_qf(rule(4, n), pe))
             ok &= math.isclose(qf_tail, floor, rel_tol=1e-9, abs_tol=1e-9)
             floors.append(floor)
         ok &= all(b < a for a, b in zip(floors, floors[1:]))  # distinct per rule
-        # the 1-vs-2 ROC curves must exchange superiority somewhere
-        star = float(qm_star(rule(4, 1), SENSING, channel))
-        ok &= 0.0 < star < 1.0
-        # probes bracket the crossover inside both rules' feasible miss range
+        # the 1-vs-2 ROC curves must exchange superiority somewhere: the table
+        # entry is a crossing, neither inf (rule 1 dominates) nor rule 2's floor
+        # (rule 2 dominates)
+        star = crossover_table(4, SENSING, channel).entries[1]
         floor2 = float(asymptotic_qm(rule(4, 2), pe))
+        ok &= floor2 < star < 1.0
+        # probes bracket the crossover inside both rules' feasible miss range
         probe_below = math.sqrt(floor2 * star)
         probe_above = min(star * 2.0, 0.99)
         gaps = []
@@ -181,8 +177,8 @@ def test_criterion_5_reporting_errors_create_floors_and_crossovers():
             lam1 = _lambda_matching_qm(rule(4, 1), channel, probe)
             lam2 = _lambda_matching_qm(rule(4, 2), channel, probe)
             gaps.append(
-                float(fused_qf(rule(4, 2), local_pf(replace(SENSING, threshold_lambda=lam2)), pe))
-                - float(fused_qf(rule(4, 1), local_pf(replace(SENSING, threshold_lambda=lam1)), pe)))
+                float(fused_qf(rule(4, 2), local_pf(SENSING, lam2), pe))
+                - float(fused_qf(rule(4, 1), local_pf(SENSING, lam1), pe)))
         ok &= gaps[0] > 0.0 > gaps[1]  # sign change of the false-alarm gap
         details.append(f"{tag}: qm* = {star:.4g}")
     elapsed = time.perf_counter() - start
@@ -193,10 +189,9 @@ def test_criterion_5_reporting_errors_create_floors_and_crossovers():
 
 def test_criterion_6_interval_rule_agrees_with_direct_search():
     start = time.perf_counter()
-    table = crossover_table(4, SENSING, CH10)
     floors = [float(asymptotic_qm(rule(4, n), CH10.pe)) for n in (1, 2, 3, 4)]
     targets = np.geomspace(max(floors) * 1.02, 0.5, 20)
-    agree = all(optimal_n(float(t), 4, SENSING, CH10, table=table).agree for t in targets)
+    agree = all(optimal_n(float(t), 4, SENSING, CH10).agree for t in targets)
     perfect = all(optimal_n(t, 4, SENSING, perfect_channel()).n == 1
                   for t in (1e-6, 1e-3, 0.05, 0.4))
     tiny = ReportChannel(noise_var_sigma2=1.0 / (4.0 * 49.0))  # bit errors ~ 1e-12

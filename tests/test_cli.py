@@ -50,15 +50,15 @@ class TestAnalyze:
         proc = run_cli("analyze", *BASE, "--n", "2", "--lambda", "12")
         assert proc.returncode == 0
         got = parse_kv(proc.stdout)
-        p = SensingParams(samples_m=6, threshold_lambda=12.0, avg_snr_gamma=100.0)
+        p = SensingParams(samples_m=6, avg_snr_gamma=100.0)
         ch = channel_from_snr_db(10.0)
         cfg = FusionConfig(num_radios_k=4, vote_threshold_n=2)
         expected = {
-            "pf_local": local_pf(p),
-            "pm_local": Probability(1.0 - local_pd(p)),
+            "pf_local": local_pf(p, 12.0),
+            "pm_local": Probability(1.0 - local_pd(p, 12.0)),
             "pe": ch.pe,
-            "qf": fused_qf(cfg, local_pf(p), ch.pe),
-            "qm": fused_qm(cfg, Probability(1.0 - local_pd(p)), ch.pe),
+            "qf": fused_qf(cfg, local_pf(p, 12.0), ch.pe),
+            "qm": fused_qm(cfg, Probability(1.0 - local_pd(p, 12.0)), ch.pe),
             "qf_floor": asymptotic_qf(cfg, ch.pe),
             "qm_floor": asymptotic_qm(cfg, ch.pe),
         }
@@ -139,11 +139,11 @@ class TestRoc:
                        "--out", str(out)).returncode == 0
         ch = channel_from_snr_db(10.0)
         cfg = FusionConfig(num_radios_k=4, vote_threshold_n=2)
+        p = SensingParams(samples_m=6, avg_snr_gamma=100.0)
         for row in read_csv(out):
-            p = SensingParams(samples_m=6, threshold_lambda=float(row["lambda"]),
-                              avg_snr_gamma=100.0)
-            assert float(row["qf"]) == pytest.approx(float(fused_qf(cfg, local_pf(p), ch.pe)), abs=1e-9)
-            qm = fused_qm(cfg, Probability(1.0 - local_pd(p)), ch.pe)
+            lam = float(row["lambda"])
+            assert float(row["qf"]) == pytest.approx(float(fused_qf(cfg, local_pf(p, lam), ch.pe)), abs=1e-9)
+            qm = fused_qm(cfg, Probability(1.0 - local_pd(p, lam)), ch.pe)
             assert float(row["qm"]) == pytest.approx(float(qm), abs=1e-9)
 
     def test_json_format_matches_csv_values(self, tmp_path):
@@ -249,7 +249,7 @@ class TestLargeSweep:
 
     def test_run_grid_memory_is_a_few_arrays_per_cell(self):
         # per-cell result objects took 175 MB here; the arrays and their temporaries take 19 MB
-        sensing = SensingParams(samples_m=6, threshold_lambda=0.0, avg_snr_gamma=10.0)
+        sensing = SensingParams(samples_m=6, avg_snr_gamma=10.0)
         scenario = SimScenario(sensing=sensing, channel=channel_from_snr_db(10.0),
                                fusion=FusionConfig(num_radios_k=16, vote_threshold_n=1), trials=100, seed=1)
         lambdas, ns = np.linspace(0.0, 100.0, 20_000), list(range(1, 17))
@@ -434,7 +434,7 @@ class TestStreaming:
     # the point text and the three float columns.
     @pytest.mark.parametrize("fmt, per_threshold", [("csv", 130), ("json", 200)])
     def test_writer_memory_grows_with_thresholds_not_rules(self, fmt, per_threshold):
-        sensing = SensingParams(samples_m=6, threshold_lambda=0.0, avg_snr_gamma=10.0)
+        sensing = SensingParams(samples_m=6, avg_snr_gamma=10.0)
         channel = channel_from_snr_db(10.0)
 
         class Sink:  # keeps nothing that is written to it
@@ -614,6 +614,18 @@ class TestConfigHandling:
         flag = "--" + field.replace("_", "-")
         assert main([command, *self.GRID_BASE, flag, grid, *self.SIM_EXTRA[command]]) == 2
         assert capsys.readouterr().err.startswith(f"config error: {field}: the grid's thresholds must be distinct")
+
+    @pytest.mark.parametrize("command, extra", [("analyze", ["--n", "1", "--lambda", "3"]),
+                                                ("optimal-n", ["--target-qm", "0.1"])])
+    @pytest.mark.parametrize("snr_db, report_snr_db, message", [
+        ("4000", "10", "snr_db: avg_snr_gamma must be finite and > 0, got inf"),
+        ("20", "-4000", "report_snr_db: noise_var_sigma2 must be finite and >= 0, got inf"),
+    ], ids=["snr_db", "report_snr_db"])
+    def test_a_db_value_past_the_float_range_is_named(self, capsys, command, extra, snr_db, report_snr_db,
+                                                     message):
+        argv = [command, "--k", "4", "--samples-m", "6", "--snr-db", snr_db, "--report-snr-db", report_snr_db]
+        assert main([*argv, *extra]) == 2
+        assert capsys.readouterr().err == f"config error: {message}\n"
 
     def test_conflicting_report_modes_rejected(self):
         proc = run_cli("analyze", *BASE, "--n", "1", "--lambda", "12", "--perfect-report")

@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 
 from coopsense import _inversion as inv
 from coopsense import roc
-from coopsense.fusion import FusionConfig, _fused_qm
+from coopsense.fusion import _fused_qm
 from coopsense.local_sensing import SensingParams
 from coopsense.reporting import channel_from_snr_db, perfect_channel
 
@@ -19,7 +19,7 @@ PROPERTY = settings(max_examples=600, deadline=None, derandomize=True, database=
 
 
 def sensing(m, snr_db):
-    return SensingParams(samples_m=m, threshold_lambda=0.0, avg_snr_gamma=10.0 ** (snr_db / 10.0))
+    return SensingParams(samples_m=m, avg_snr_gamma=10.0 ** (snr_db / 10.0))
 
 
 class TestCrossingSolve:
@@ -61,14 +61,9 @@ class TestCrossingSolve:
 
 
 def per_pair_entries(k, sens, channel):
-    """Table entries from one qm_star call per pair, mapped as crossover_table maps them."""
-    entries = {}
-    for n in range(1, k):
-        try:
-            entries[n] = float(roc.qm_star(FusionConfig(num_radios_k=k, vote_threshold_n=n), sens, channel))
-        except roc.NoCrossoverError as err:
-            entries[n] = math.inf if err.dominant == n else float(_fused_qm(k, n + 1, 0.0, float(channel.pe)))
-    return entries
+    """Table entries from one single-pair crossover solve per pair."""
+    return {n: float(roc._crossovers(k, np.array([n]), sens.samples_m, sens.avg_snr_gamma, float(channel.pe))[0])
+            for n in range(1, k)}
 
 
 def hexed(entries):

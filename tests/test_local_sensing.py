@@ -29,7 +29,8 @@ THRESHOLD_ORACLE = [
 
 
 def params(m, lam, g=100.0):
-    return SensingParams(samples_m=m, threshold_lambda=lam, avg_snr_gamma=g)
+    """The arguments of the scalar closed forms: the detector and its threshold."""
+    return SensingParams(samples_m=m, avg_snr_gamma=g), lam
 
 
 def pd_literal_sums(m, lam, g):
@@ -46,36 +47,39 @@ def pd_literal_sums(m, lam, g):
 class TestSensingParams:
     def test_validation(self):
         with pytest.raises(ValueError):
-            SensingParams(samples_m=0, threshold_lambda=1.0, avg_snr_gamma=1.0)
+            SensingParams(samples_m=0, avg_snr_gamma=1.0)
         with pytest.raises(ValueError):
-            SensingParams(samples_m=2.0, threshold_lambda=1.0, avg_snr_gamma=1.0)
+            SensingParams(samples_m=2.0, avg_snr_gamma=1.0)
         with pytest.raises(ValueError):
-            SensingParams(samples_m=2, threshold_lambda=-1.0, avg_snr_gamma=1.0)
-        with pytest.raises(ValueError):
-            SensingParams(samples_m=2, threshold_lambda=float("inf"), avg_snr_gamma=1.0)
-        with pytest.raises(ValueError):
-            SensingParams(samples_m=2, threshold_lambda=1.0, avg_snr_gamma=0.0)
+            SensingParams(samples_m=2, avg_snr_gamma=0.0)
+
+    @pytest.mark.parametrize("fn", [local_pf, local_pd, local_pm])
+    def test_scalar_forms_reject_a_bad_threshold(self, fn):
+        p = SensingParams(samples_m=2, avg_snr_gamma=1.0)
+        for bad in (-1.0, float("inf"), float("nan")):
+            with pytest.raises(ValueError, match=r"threshold_lambda must be finite and >= 0, got"):
+                fn(p, bad)
 
 
 class TestLocalPf:
     def test_trivial_points(self):
-        assert local_pf(params(1, 2.0)) == pytest.approx(math.exp(-1.0), rel=1e-12)
-        assert float(local_pf(params(6, 0.0))) == 1.0
+        assert local_pf(*params(1, 2.0)) == pytest.approx(math.exp(-1.0), rel=1e-12)
+        assert float(local_pf(*params(6, 0.0))) == 1.0
 
     def test_frozen_value(self):
         # mpmath regularized upper gamma at (6, 6)
-        assert local_pf(params(6, 12.0)) == pytest.approx(0.44567964136461124446, rel=1e-12)
+        assert local_pf(*params(6, 12.0)) == pytest.approx(0.44567964136461124446, rel=1e-12)
 
 
 class TestLocalPd:
     def test_trivial_points(self):
-        assert float(local_pd(params(1, 0.0, 5.0))) == 1.0
-        assert float(local_pd(params(6, 0.0, 5.0))) == 1.0
-        assert local_pd(params(1, 2.0, 99.0)) == pytest.approx(math.exp(-0.01), rel=1e-12)
+        assert float(local_pd(*params(1, 0.0, 5.0))) == 1.0
+        assert float(local_pd(*params(6, 0.0, 5.0))) == 1.0
+        assert local_pd(*params(1, 2.0, 99.0)) == pytest.approx(math.exp(-0.01), rel=1e-12)
 
     @pytest.mark.parametrize("m,lam,g,expected", PD_ORACLE)
     def test_against_mpmath_literal_sums(self, m, lam, g, expected):
-        assert local_pd(params(m, lam, g)) == pytest.approx(expected, rel=1e-12)
+        assert local_pd(*params(m, lam, g)) == pytest.approx(expected, rel=1e-12)
 
     def test_gamma_form_equals_literal_sums(self):
         # tolerance absorbs the literal form's own cancellation between the
@@ -83,7 +87,7 @@ class TestLocalPd:
         for m in (1, 2, 3, 6, 9, 12):
             for lam in (0.0, 0.5, 4.0, 12.0, 40.0):
                 for g in (0.5, 1.0, 10.0, 100.0):
-                    assert local_pd(params(m, lam, g)) == pytest.approx(
+                    assert local_pd(*params(m, lam, g)) == pytest.approx(
                         pd_literal_sums(m, lam, g), abs=1e-11
                     )
 
@@ -95,27 +99,27 @@ class TestLocalPd:
             lambda u: math.exp(-u) * ncx2.sf(lam, 2 * m, 2.0 * g * u), 0.0, math.inf, limit=200
         )
         assert err < 1e-6
-        assert local_pd(params(m, lam, g)) == pytest.approx(value, abs=1e-8)
+        assert local_pd(*params(m, lam, g)) == pytest.approx(value, abs=1e-8)
 
 
 class TestLocalPm:
     def test_trivial_points(self):
-        assert float(local_pm(params(1, 0.0, 5.0))) == 0.0
-        assert local_pm(params(1, 2.0, 99.0)) == pytest.approx(1.0 - math.exp(-0.01), rel=1e-9)
+        assert float(local_pm(*params(1, 0.0, 5.0))) == 0.0
+        assert local_pm(*params(1, 2.0, 99.0)) == pytest.approx(1.0 - math.exp(-0.01), rel=1e-9)
 
     def test_complement_identity(self):
         for m, lam, g, _ in PD_ORACLE:
             p = params(m, lam, g)
-            assert float(local_pd(p)) + float(local_pm(p)) == pytest.approx(1.0, abs=1e-15)
+            assert float(local_pd(*p)) + float(local_pm(*p)) == pytest.approx(1.0, abs=1e-15)
 
 
 class TestShapeProperties:
     @pytest.mark.parametrize("m,g", [(1, 100.0), (6, 100.0), (6, 1.0), (12, 10.0)])
     def test_strict_monotonicity_in_threshold(self, m, g):
         lams = [0.1 + 0.6 * i for i in range(100)]
-        pf = [float(local_pf(params(m, lam, g))) for lam in lams]
-        pd = [float(local_pd(params(m, lam, g))) for lam in lams]
-        pm = [float(local_pm(params(m, lam, g))) for lam in lams]
+        pf = [float(local_pf(*params(m, lam, g))) for lam in lams]
+        pd = [float(local_pd(*params(m, lam, g))) for lam in lams]
+        pm = [float(local_pm(*params(m, lam, g))) for lam in lams]
         assert all(b < a for a, b in zip(pf, pf[1:]))
         assert all(b < a for a, b in zip(pd, pd[1:]))
         assert all(b > a for a, b in zip(pm, pm[1:]))
@@ -125,9 +129,9 @@ class TestShapeProperties:
             for lam in (0.0, 1.0, 10.0, 50.0, 100.0):
                 for g in (1.0, 10.0, 100.0):
                     p = params(m, lam, g)
-                    assert 0.0 <= float(local_pf(p)) <= 1.0
-                    assert 0.0 <= float(local_pd(p)) <= 1.0
-                    assert 0.0 <= float(local_pm(p)) <= 1.0
+                    assert 0.0 <= float(local_pf(*p)) <= 1.0
+                    assert 0.0 <= float(local_pd(*p)) <= 1.0
+                    assert 0.0 <= float(local_pm(*p)) <= 1.0
 
     def test_detector_beats_chance(self):
         # detection probability strictly exceeds false alarm whenever lambda > 0;
@@ -136,7 +140,7 @@ class TestShapeProperties:
             for q in (0.9, 0.5, 0.1, 1e-3):
                 for g in (0.5, 1.0, 10.0, 100.0):
                     p = params(m, threshold_for_pf(q, m), g)
-                    assert float(local_pd(p)) > float(local_pf(p))
+                    assert float(local_pd(*p)) > float(local_pf(*p))
 
 
 class TestThresholdForPf:
@@ -151,7 +155,7 @@ class TestThresholdForPf:
     @pytest.mark.parametrize("q", [1e-9, 1e-6, 0.01, 0.3, 0.5, 0.9, 0.99, 1.0 - 1e-9])
     def test_round_trip(self, q, m):
         lam = threshold_for_pf(q, m)
-        back = float(local_pf(params(m, lam, 1.0)))
+        back = float(local_pf(*params(m, lam, 1.0)))
         assert abs(back - q) <= 1e-10
         assert back == pytest.approx(q, rel=1e-9)
 
@@ -193,13 +197,13 @@ class TestLocalPmAccuracy:
         for m, snr_db, lam in PM_GRID:
             g = 10.0 ** (snr_db / 10.0)
             ref = pm_mpmath(m, lam, g)
-            worst = max(worst, float(abs(float(local_pm(params(m, lam, g))) - ref) / ref))
+            worst = max(worst, float(abs(float(local_pm(*params(m, lam, g))) - ref) / ref))
         assert worst <= 1e-9
 
     def test_complement_identity_over_the_grid(self):
         for m, snr_db, lam in PM_GRID:
             p = params(m, lam, 10.0 ** (snr_db / 10.0))
-            assert float(local_pd(p)) + float(local_pm(p)) == pytest.approx(1.0, abs=1e-15)
+            assert float(local_pd(*p)) + float(local_pm(*p)) == pytest.approx(1.0, abs=1e-15)
 
 
 class TestArrayKernels:
@@ -213,5 +217,5 @@ class TestArrayKernels:
                 assert pf.shape == pm.shape == lams.shape
                 for i, lam in enumerate(lams):
                     p = params(m, float(lam), g)
-                    assert pf[i] == pytest.approx(float(local_pf(p)), rel=1e-15, abs=0.0)
-                    assert pm[i] == pytest.approx(float(local_pm(p)), rel=1e-15, abs=0.0)
+                    assert pf[i] == pytest.approx(float(local_pf(*p)), rel=1e-15, abs=0.0)
+                    assert pm[i] == pytest.approx(float(local_pm(*p)), rel=1e-15, abs=0.0)

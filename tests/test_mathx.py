@@ -71,6 +71,10 @@ class TestProbability:
         assert db_to_linear(20.0) == pytest.approx(100.0, rel=1e-15)
         assert db_to_linear(0.0) == 1.0
 
+    def test_db_to_linear_past_the_float_range_is_inf(self):
+        assert db_to_linear(4000.0) == math.inf
+        assert db_to_linear(-4000.0) == 0.0
+
 
 class TestRegUpperIncompleteGamma:
     """The regularized upper incomplete gamma function behind every local false alarm."""

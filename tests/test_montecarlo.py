@@ -12,10 +12,9 @@ from coopsense.montecarlo import SimScenario, run_grid
 from coopsense.reporting import channel_from_snr_db, perfect_channel
 
 
-def scenario(k=4, n=2, m=6, lam=12.0, gbar=100.0, snr_r_db=10.0, trials=100_000, seed=321,
-             perfect=False):
+def scenario(k=4, n=2, m=6, gbar=100.0, snr_r_db=10.0, trials=100_000, seed=321, perfect=False):
     return SimScenario(
-        sensing=SensingParams(samples_m=m, threshold_lambda=lam, avg_snr_gamma=gbar),
+        sensing=SensingParams(samples_m=m, avg_snr_gamma=gbar),
         channel=perfect_channel() if perfect else channel_from_snr_db(snr_r_db),
         fusion=FusionConfig(num_radios_k=k, vote_threshold_n=n),
         trials=trials,
@@ -28,10 +27,9 @@ def cell(grid, ni, li):
     return grid._make(v[ni, li] if v.ndim == 2 else v[li] for v in grid)
 
 
-def run_sim(scenario, workers=1):
-    """The one-cell grid of the scenario's own threshold and rule."""
-    grid = run_grid(scenario, [scenario.sensing.threshold_lambda],
-                    [scenario.fusion.vote_threshold_n], workers=workers)
+def run_sim(scenario, lam=12.0, workers=1):
+    """The one-cell grid of threshold ``lam`` and the scenario's own rule."""
+    grid = run_grid(scenario, [lam], [scenario.fusion.vote_threshold_n], workers=workers)
     return cell(grid, 0, 0)
 
 
@@ -99,7 +97,7 @@ class TestDeterminism:
         lambdas = [6.0, 12.0, 20.0]
         grid = run_grid(base, lambdas, [2])
         for li, lam in enumerate(lambdas):
-            single = run_sim(scenario(trials=40_000, seed=17, lam=lam))
+            single = run_sim(scenario(trials=40_000, seed=17), lam)
             assert cell(grid, 0, li) == single
 
     def test_grid_cells_match_standalone_runs(self):
@@ -107,7 +105,7 @@ class TestDeterminism:
         grid = run_grid(base, [8.0, 16.0], [1, 3])
         for li, lam in enumerate([8.0, 16.0]):
             for ni, n in enumerate([1, 3]):
-                single = run_sim(scenario(trials=40_000, seed=23, lam=lam, n=n))
+                single = run_sim(scenario(trials=40_000, seed=23, n=n), lam)
                 assert cell(grid, ni, li) == single
 
     def test_seed_changes_the_draws(self):
@@ -119,7 +117,7 @@ class TestDeterminism:
 class TestDegenerateCases:
     def test_zero_threshold_perfect_reports(self):
         # every radio always asserts and every report arrives intact
-        res = run_sim(scenario(lam=0.0, perfect=True, trials=20_000, seed=3))
+        res = run_sim(scenario(perfect=True, trials=20_000, seed=3), lam=0.0)
         assert float(res.qf_hat) == 1.0
         assert float(res.qm_hat) == 0.0
         assert float(res.report_error_rate_hat) == 0.0
@@ -155,10 +153,10 @@ class TestClosedFormAgreement:
     @pytest.mark.parametrize("channel", [perfect_channel(), channel_from_snr_db(200.0)],
                              ids=["perfect", "snr_r_200dB"])
     def test_single_radio_clean_chain_matches_false_alarm_tail(self, channel):
-        base = scenario(k=1, n=1, lam=12.0, trials=1_000_000, seed=41)
+        base = scenario(k=1, n=1, trials=1_000_000, seed=41)
         res = run_sim(SimScenario(sensing=base.sensing, channel=channel, fusion=base.fusion,
-                                  trials=base.trials, seed=base.seed))
-        pf = float(local_pf(SensingParams(samples_m=6, threshold_lambda=12.0, avg_snr_gamma=100.0)))
+                                  trials=base.trials, seed=base.seed), lam=12.0)
+        pf = float(local_pf(base.sensing, 12.0))
         assert within_4se(float(res.qf_hat), pf, res.qf_stderr)
 
     @pytest.mark.parametrize("m,lam,gbar,seed", [
@@ -169,9 +167,9 @@ class TestClosedFormAgreement:
         (6, 4.0, 1.0, 105),
     ])
     def test_local_rates_match_closed_forms(self, m, lam, gbar, seed):
-        res = run_sim(scenario(k=1, n=1, m=m, lam=lam, gbar=gbar, trials=1_000_000, seed=seed))
-        p = SensingParams(samples_m=m, threshold_lambda=lam, avg_snr_gamma=gbar)
-        pf, pm = float(local_pf(p)), float(local_pm(p))
+        res = run_sim(scenario(k=1, n=1, m=m, gbar=gbar, trials=1_000_000, seed=seed), lam)
+        p = SensingParams(samples_m=m, avg_snr_gamma=gbar)
+        pf, pm = float(local_pf(p, lam)), float(local_pm(p, lam))
         se_f = math.sqrt(pf * (1 - pf) / res.trials_h0)
         se_m = math.sqrt(pm * (1 - pm) / res.trials_h1)
         assert abs(float(res.pf_hat) - pf) <= 4.0 * max(se_f, 1e-12)
@@ -179,11 +177,11 @@ class TestClosedFormAgreement:
 
     def test_fused_point_matches_closed_forms(self):
         res = run_sim(scenario(trials=300_000, seed=51))
-        p = SensingParams(samples_m=6, threshold_lambda=12.0, avg_snr_gamma=100.0)
+        p = SensingParams(samples_m=6, avg_snr_gamma=100.0)
         cfg = FusionConfig(num_radios_k=4, vote_threshold_n=2)
         pe = channel_from_snr_db(10.0).pe
-        qf = float(fused_qf(cfg, local_pf(p), pe))
-        qm = float(fused_qm(cfg, local_pm(p), pe))
+        qf = float(fused_qf(cfg, local_pf(p, 12.0), pe))
+        qm = float(fused_qm(cfg, local_pm(p, 12.0), pe))
         assert within_4se(float(res.qf_hat), qf, res.qf_stderr)
         assert within_4se(float(res.qm_hat), qm, res.qm_stderr)
 
@@ -431,7 +429,7 @@ class TestBlocking:
             return energy(z, amp)
 
         monkeypatch.setattr(mc, "_energy_statistic", recording)
-        s = scenario(k=1, n=1, m=m, lam=2.0 * m, trials=count, seed=53)
+        s = scenario(k=1, n=1, m=m, trials=count, seed=53)
         mc._chunk_tallies(s, [2.0 * m], [1], 0, count)
         assert got == heights
         assert len(got) <= -(-count * 2 * m // mc._BLOCK_VALUES)
@@ -445,7 +443,7 @@ class TestBlocking:
         1 << 30,    # more rows than a chunk holds: one block per chunk
     ])
     def test_grid_equals_the_default_blocking(self, monkeypatch, m, trials, block_values):
-        s = scenario(k=2, n=1, m=m, lam=2.0 * m, trials=trials, seed=47)
+        s = scenario(k=2, n=1, m=m, trials=trials, seed=47)
         lambdas, n_values = [1.5 * m, 2.0 * m, 3.0 * m], [1, 2]
         default = bits(run_grid(s, lambdas, n_values))
         monkeypatch.setattr(mc, "_BLOCK_VALUES", block_values)
@@ -458,7 +456,7 @@ class TestMemoryBound:
         bound = 4 << 20
         one_shot = count * 2 * m * 8      # bytes of the whole (count, 2M) sample matrix
         assert one_shot > 10 * bound
-        s = scenario(k=1, n=1, m=m, lam=2.0 * m, trials=count, seed=43)
+        s = scenario(k=1, n=1, m=m, trials=count, seed=43)
         tracemalloc.start()
         try:
             mc._chunk_tallies(s, [2.0 * m], [1], 0, count)

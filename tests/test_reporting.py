@@ -66,6 +66,10 @@ class TestChannelFromSnrDb:
         with pytest.raises(ValueError):
             channel_from_snr_db(float("inf"))
 
+    def test_rejects_a_noise_variance_past_the_float_range(self):
+        with pytest.raises(ValueError, match="noise_var_sigma2 must be finite and >= 0, got inf"):
+            channel_from_snr_db(-4000.0)
+
 
 class TestFlipComposition:
     """The probability of a received 1 when the radio asserts 1 with probability p, as fusion forms it."""

@@ -1,26 +1,23 @@
 """ROC curves, crossovers, and adaptive rule selection against brute-force scans."""
 import math
 import warnings
-from dataclasses import replace
 
 import numpy as np
 import pytest
 
 from coopsense.cli import _lambda_values
 from coopsense.fusion import FusionConfig, _fused_qm, asymptotic_qf, asymptotic_qm, fused_qf, fused_qm
-from coopsense.local_sensing import SensingParams, local_pf, local_pm, threshold_for_pf
+from coopsense.local_sensing import SensingParams, _local_pm, local_pf, local_pm, threshold_for_pf
 from coopsense.montecarlo import SimScenario, run_grid
 from coopsense.reporting import ReportChannel, channel_from_snr_db, perfect_channel
 from coopsense.roc import (
     InfeasibleTargetError,
-    NoCrossoverError,
     RocSweep,
     crossover_table,
     optimal_n,
-    qm_star,
 )
 
-SENSING = SensingParams(samples_m=6, threshold_lambda=0.0, avg_snr_gamma=100.0)
+SENSING = SensingParams(samples_m=6, avg_snr_gamma=100.0)
 CH10 = channel_from_snr_db(10.0)
 CH5 = channel_from_snr_db(5.0)
 
@@ -60,17 +57,15 @@ def qf_at_qm(qms, qfs, qm):
 
 def operating_point(fusion, channel, lam):
     """Fused (qf, qm) of one rule at one threshold, from the scalar closed forms."""
-    p = replace(SENSING, threshold_lambda=lam)
-    return fused_qf(fusion, local_pf(p), channel.pe), fused_qm(fusion, local_pm(p), channel.pe)
+    return fused_qf(fusion, local_pf(SENSING, lam), channel.pe), fused_qm(fusion, local_pm(SENSING, lam), channel.pe)
 
 
 def scan_qf_qm(fusion, channel, lambdas):
     pe = channel.pe
     qf, qm = [], []
     for lam in lambdas:
-        p = replace(SENSING, threshold_lambda=lam)
-        qf.append(float(fused_qf(fusion, local_pf(p), pe)))
-        qm.append(float(fused_qm(fusion, local_pm(p), pe)))
+        qf.append(float(fused_qf(fusion, local_pf(SENSING, lam), pe)))
+        qm.append(float(fused_qm(fusion, local_pm(SENSING, lam), pe)))
     return np.array(qf), np.array(qm)
 
 
@@ -85,7 +80,7 @@ class TestRocCurve:
     @pytest.mark.parametrize("channel", [channel_from_snr_db(10.0), perfect_channel()], ids=["noisy", "perfect"])
     def test_k64_golden_grids_satisfy_invariants(self, channel):
         # every rule of the K = 64 golden roc sweeps in tests/test_cli.py, at their thresholds
-        sensing = SensingParams(samples_m=6, threshold_lambda=0.0, avg_snr_gamma=10.0)
+        sensing = SensingParams(samples_m=6, avg_snr_gamma=10.0)
         lambdas = _lambda_values({"pf_grid": "1e-9:0.99:60"}, 6)
         sweep = RocSweep.of(64, list(range(1, 65)), sensing, channel, lambdas)
         for r, n in enumerate(sweep.ns):
@@ -108,9 +103,8 @@ class TestRocCurve:
     def test_single_radio_perfect_channel_reduces_to_local_curve(self):
         grid = pf_spaced_grid(40)
         for lam, qf, qm in zip(*curve(1, perfect_channel(), grid, k=1)[:3]):
-            p = replace(SENSING, threshold_lambda=lam)
-            assert float(qf) == pytest.approx(float(local_pf(p)), abs=1e-14)
-            assert float(qm) == pytest.approx(float(local_pm(p)), abs=1e-14)
+            assert float(qf) == pytest.approx(float(local_pf(SENSING, lam)), abs=1e-14)
+            assert float(qm) == pytest.approx(float(local_pm(SENSING, lam)), abs=1e-14)
 
     def test_tail_approaches_false_alarm_floor(self):
         grid = pf_spaced_grid(40, lo=1e-12)
@@ -140,10 +134,18 @@ class TestPerfectChannelDominance:
                 assert best <= qf_at_qm(qms, qfs, float(qm)) + 1e-6
 
 
+def qm_stars(k, channel):
+    """The crossover table's entries for rules 1..k-1: a crossing, inf where rule n dominates, or
+    rule n+1's miss floor where that rule does."""
+    return crossover_table(k, SENSING, channel).entries
+
+
 class TestQmStar:
     def test_crossovers_exist_and_grow_with_n(self):
-        stars = [float(qm_star(rule(4, n), SENSING, CH10)) for n in (1, 2, 3)]
-        assert all(0.0 < s < 1.0 for s in stars)
+        entries = qm_stars(4, CH10)
+        stars = [entries[n] for n in (1, 2, 3)]
+        floors = [float(asymptotic_qm(rule(4, n + 1), CH10.pe)) for n in (1, 2, 3)]
+        assert all(floor < s < 1.0 for s, floor in zip(stars, floors))  # crossings: no rule dominates
         assert stars[0] < stars[1] < stars[2]
 
     def test_against_dense_grid_scan(self):
@@ -159,11 +161,11 @@ class TestQmStar:
         assert len(flips) >= 1
         qm_grid = qm2[usable]
         bracket_lo, bracket_hi = qm_grid[flips[0]], qm_grid[flips[0] + 1]
-        star = float(qm_star(rule(4, 1), SENSING, CH10))
+        star = qm_stars(4, CH10)[1]
         assert bracket_lo <= star <= bracket_hi
 
     def test_crossover_balances_false_alarms(self):
-        star = float(qm_star(rule(4, 2), SENSING, CH10))
+        star = qm_stars(4, CH10)[2]
         # at the crossover both rules achieve the same false alarm at equal miss
         lam2 = _lambda_matching_qm(rule(4, 2), CH10, star)
         lam3 = _lambda_matching_qm(rule(4, 3), CH10, star)
@@ -173,27 +175,17 @@ class TestQmStar:
 
     def test_no_crossover_in_perfect_channel_limit(self):
         tiny = ReportChannel(noise_var_sigma2=1.0 / (4.0 * 49.0))  # pe = Q(7) ~ 1.3e-12
-        with pytest.raises(NoCrossoverError) as err:
-            qm_star(rule(4, 1), SENSING, tiny)
-        assert err.value.dominant == 1
-        with pytest.raises(NoCrossoverError):
-            qm_star(rule(4, 1), SENSING, perfect_channel())
+        assert qm_stars(4, tiny)[1] == math.inf  # rule 1 dominates
+        assert qm_stars(4, perfect_channel())[1] == math.inf
 
     def test_scrambled_channel_reports_tie_as_no_crossover(self):
         huge = ReportChannel(noise_var_sigma2=1e12)  # pe indistinguishable from 0.5
-        with pytest.raises(NoCrossoverError) as err:
-            qm_star(rule(2, 1), SENSING, huge)
-        assert err.value.dominant == 1
-
-    def test_requires_room_for_next_rule(self):
-        with pytest.raises(ValueError):
-            qm_star(rule(4, 4), SENSING, CH10)
+        assert qm_stars(2, huge)[1] == math.inf  # rule 1 dominates
 
 
 def _lambda_matching_qm(fusion, channel, target):
     from scipy import optimize
-    f = lambda lam: float(fused_qm(fusion, local_pm(replace(SENSING, threshold_lambda=lam)),
-                                   channel.pe)) - target
+    f = lambda lam: float(fused_qm(fusion, local_pm(SENSING, lam), channel.pe)) - target
     hi = 200.0
     while f(hi) < 0:
         hi *= 2.0
@@ -219,6 +211,11 @@ class TestCrossoverTable:
     def test_perfect_channel_table_never_steps_up(self):
         table = crossover_table(4, SENSING, perfect_channel())
         assert all(v == math.inf for v in table.entries.values())
+
+    def test_rejects_a_radio_count_that_is_not_a_positive_integer(self):
+        for bad in (4.5, 0, -3):
+            with pytest.raises(ValueError, match="num_radios_k must be a positive integer"):
+                crossover_table(bad, SENSING, CH10)
 
 
 def direct_search_oracle(target, k, channel, lambdas):
@@ -254,12 +251,11 @@ class TestOptimalN:
         assert res.agree
 
     def test_interval_rule_agrees_with_direct_search_internally(self):
-        table = crossover_table(4, SENSING, CH10)
         floors = [float(asymptotic_qm(rule(4, n), CH10.pe)) for n in range(1, 5)]
         targets = np.geomspace(max(floors) * 1.02, 0.5, 20)
         chosen = []
         for target in targets:
-            res = optimal_n(float(target), 4, SENSING, CH10, table=table)
+            res = optimal_n(float(target), 4, SENSING, CH10)
             assert res.agree, f"disagreement at target {target}"
             chosen.append(res.n)
         # looser miss targets never step the vote threshold back down
@@ -269,9 +265,8 @@ class TestOptimalN:
         lambdas = pf_spaced_grid(3000, lo=1e-11)
         # extend well past the false-alarm sweep so loose miss targets stay reachable
         lambdas = lambdas + [lambdas[-1] * f for f in (2.0, 4.0, 8.0, 16.0, 32.0)]
-        table = crossover_table(4, SENSING, CH10)
         for target in (3e-5, 3e-4, 2e-3, 8e-3, 0.03, 0.12, 0.25, 0.45, 0.7):
-            res = optimal_n(target, 4, SENSING, CH10, table=table)
+            res = optimal_n(target, 4, SENSING, CH10)
             assert res.n == direct_search_oracle(target, 4, CH10, lambdas), f"target {target}"
 
     def test_achieved_point_meets_the_target(self):
@@ -297,7 +292,7 @@ class TestEmpiricalOverlay:
     def test_analytic_curves_sit_inside_monte_carlo_bands(self):
         lambdas = [8.0, 14.0, 22.0]
         base = SimScenario(
-            sensing=replace(SENSING, threshold_lambda=lambdas[0]),
+            sensing=SENSING,
             channel=CH10,
             fusion=rule(4, 1),
             trials=200_000,
@@ -317,28 +312,29 @@ class TestEmpiricalOverlay:
 
 class TestKernelPath:
     def test_rule_point_matches_operating_point_elementwise(self):
-        from coopsense.roc import _rule_point
+        from coopsense.roc import _achieved
 
-        lams = np.array(pf_spaced_grid(30))
         pe = float(CH10.pe)
-        for n in (1, 2, 4):
-            qf, qm = _rule_point(4, n, 6, 100.0, pe, lams)
-            for i, lam in enumerate(lams):
-                ref_f, ref_m = operating_point(rule(4, n), CH10, float(lam))
+        ns = np.array([1, 2, 3, 4])
+        for target in (3e-4, 2e-3, 0.05, 0.3, 0.7):
+            lam, qf, qm = _achieved(4, ns, 6, 100.0, pe, target)
+            for i, n in enumerate(ns.tolist()):
+                ref_f, ref_m = operating_point(rule(4, n), CH10, float(lam[i]))
                 assert (qf[i], qm[i]) == (float(ref_f), float(ref_m))
 
     def test_infinite_threshold_gives_floor_and_loose_limit(self):
-        from coopsense.roc import _rule_point
+        from coopsense.roc import _achieved
 
         pe = float(CH10.pe)
-        for n in (1, 2, 3, 4):
-            qf, qm = _rule_point(4, n, 6, 100.0, pe, np.inf)
-            assert qf == float(asymptotic_qf(rule(4, n), pe))
-            assert qm == float(fused_qm(rule(4, n), 1.0, pe))
+        # a target of 1 is at or above every loose limit, so no rule's constraint binds
+        lam, qf, qm = _achieved(4, np.array([1, 2, 3, 4]), 6, 100.0, pe, 1.0)
+        for i, n in enumerate((1, 2, 3, 4)):
+            assert lam[i] == np.inf
+            assert qf[i] == float(asymptotic_qf(rule(4, n), pe))
+            assert qm[i] == float(fused_qm(rule(4, n), 1.0, pe))
 
     def test_inversion_hits_the_target_and_ignores_its_batch(self):
         from coopsense._inversion import _predict, lambda_for_qm
-        from coopsense.roc import _rule_point
 
         pe = float(CH10.pe)
         # Newton roots, and targets 1e-10 of the span from a floor or a loose limit, which are bisected
@@ -353,7 +349,7 @@ class TestKernelPath:
         assert bisected.tolist() == [False] * 3 + [True] * 4
         assert batch.tolist() == alone
         for n, target, lam in zip(ns, targets, batch):
-            assert float(_rule_point(4, n, 6, 100.0, pe, lam)[1]) == pytest.approx(target, rel=1e-9)
+            assert float(_fused_qm(4, n, _local_pm(6, 100.0, lam), pe)) == pytest.approx(target, rel=1e-9)
 
     def test_achieved_point_is_reused_from_the_direct_search(self):
         from coopsense.roc import _achieved

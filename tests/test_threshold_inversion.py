@@ -15,7 +15,7 @@ from scipy import special as _sp
 from coopsense import _inversion as inv
 from coopsense import roc
 from coopsense.cli import main
-from coopsense.fusion import FusionConfig, _fused_qf, _fused_qm
+from coopsense.fusion import _fused_qf, _fused_qm
 from coopsense.local_sensing import SensingParams, _local_pf, _local_pm, _local_pm_parts
 from coopsense.reporting import ReportChannel, channel_from_snr_db, perfect_channel
 
@@ -61,7 +61,7 @@ def bisection_oracle(k, n, samples_m, gamma, pe, target):
 
 
 def crossover_entries_oracle(k, samples_m, gamma, pe):
-    """crossover_table's entries from qm_star's full-scan logic on the oracle bisection."""
+    """crossover_table's entries from a per-pair full scan on the oracle bisection."""
     entries = {}
     for n in range(1, k):
         floor_b = float(_fused_qm(k, n + 1, 0.0, pe))
@@ -238,7 +238,7 @@ def test_crossover_entries_balance_the_two_rules_qf(scenario):
     gamma = 10.0 ** (snr_db / 10.0)
     channel = perfect_channel() if snr_r_db is None else channel_from_snr_db(snr_r_db)
     pe = float(channel.pe)
-    table = roc.crossover_table(k, SensingParams(samples_m=m, threshold_lambda=0.0, avg_snr_gamma=gamma), channel)
+    table = roc.crossover_table(k, SensingParams(samples_m=m, avg_snr_gamma=gamma), channel)
     assert_crossings_balance(table, k, m, gamma, pe)
 
 
@@ -247,7 +247,7 @@ def test_crossover_entries_balance_the_two_rules_qf(scenario):
                                                     (6, 14, -4.7, 16.0), (3, 15, -1.601091509367857, 18.5625)])
 def test_crossover_table_matches_the_oracle_on_known_cases(k, m, snr_db, snr_r_db):
     gamma, channel = 10.0 ** (snr_db / 10.0), channel_from_snr_db(snr_r_db)
-    table = roc.crossover_table(k, SensingParams(samples_m=m, threshold_lambda=0.0, avg_snr_gamma=gamma), channel)
+    table = roc.crossover_table(k, SensingParams(samples_m=m, avg_snr_gamma=gamma), channel)
     assert_crossings_balance(table, k, m, gamma, float(channel.pe))
 
 
@@ -373,7 +373,6 @@ class TestTieTolerance:
         gaps = qf[1] - qf[0]
         # rule 2 is ahead somewhere, but never by the tolerance
         assert gaps.min() < 0.0 and gaps.min() >= -roc._QF_TIE_TOL
-        with pytest.raises(roc.NoCrossoverError) as err:
-            roc.qm_star(FusionConfig(num_radios_k=k, vote_threshold_n=n),
-                        SensingParams(samples_m=m, threshold_lambda=0.0, avg_snr_gamma=gamma), channel)
-        assert err.value.dominant == n
+        # so rule n dominates: its crossover table entry is inf
+        table = roc.crossover_table(k, SensingParams(samples_m=m, avg_snr_gamma=gamma), channel)
+        assert table.entries[n] == math.inf
