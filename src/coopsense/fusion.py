@@ -40,6 +40,12 @@ class FusionConfig:
             raise ValueError(f"vote_threshold_n must satisfy 1 <= n <= {k}, got {n!r}")
 
 
+def _check_rules(k: int, ns, name: str) -> None:
+    """Raise ValueError unless every vote rule in ``ns`` is an integer in 1..K."""
+    if not all(isinstance(n, int) and 1 <= n <= k for n in ns):
+        raise ValueError(f"{name} must be integer vote thresholds in [1, {k}], got {ns!r}")
+
+
 def _flip(p, pe):
     """Probability that a received bit reads b when the radio sends b with probability p."""
     return p * (1.0 - pe) + (1.0 - p) * pe

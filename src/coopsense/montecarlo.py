@@ -56,7 +56,7 @@ from typing import NamedTuple, Sequence
 
 import numpy as np
 
-from .fusion import FusionConfig
+from .fusion import FusionConfig, _check_rules
 from .local_sensing import SensingParams
 from .reporting import ReportChannel
 
@@ -290,10 +290,9 @@ def run_grid(scenario: SimScenario, lambdas: Sequence[float], n_values: Sequence
         raise ValueError("lambdas must be finite and >= 0")
     k = scenario.fusion.num_radios_k
     n_values = list(n_values)
-    if not n_values or any(not isinstance(n, int) or not 1 <= n <= k for n in n_values):
-        raise ValueError(f"n_values must be integers in [1, {k}]")
-    if any(b <= a for a, b in zip(n_values, n_values[1:])):
-        raise ValueError("n_values must be strictly increasing")
+    _check_rules(k, n_values, "n_values")
+    if not n_values or any(b <= a for a, b in zip(n_values, n_values[1:])):
+        raise ValueError("n_values must be a non-empty strictly increasing sequence")
     if workers < 1:
         raise ValueError("workers must be >= 1")
 

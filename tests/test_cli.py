@@ -490,6 +490,14 @@ class TestOptimalN:
         assert main([*args, "--config", str(cfg)]) == 0
         assert capsys.readouterr().out == alone
 
+    @pytest.mark.parametrize("snr_db, target", [("60", "1e-300"), ("20", "1e-60")])
+    def test_tiny_targets_are_met(self, capsys, snr_db, target):
+        # a perfect channel puts these targets within 1e-9 of the floor 0, where the bisection takes them
+        assert main(["optimal-n", "--k", "4", "--samples-m", "1", "--snr-db", snr_db, "--perfect-report",
+                     "--target-qm", target]) == 0
+        achieved = float(parse_kv(capsys.readouterr().out)["achieved_qm"])
+        assert achieved == pytest.approx(float(target), rel=1e-12, abs=0.0)
+
     def test_infeasible_target_exit_code_and_bound(self):
         proc = run_cli("optimal-n", *BASE, "--target-qm", "1e-30")
         assert proc.returncode == 4
@@ -594,6 +602,18 @@ class TestConfigHandling:
         assert proc.returncode == 2
         proc = run_cli("roc", *BASE, "--n", "1", "--lambda", "3", "--pf-grid", "0.1:0.5:5")
         assert proc.returncode == 2
+
+    @pytest.mark.parametrize("argv, message", [
+        (["analyze", "--n", "9", "--lambda", "12"], "n: each vote threshold must satisfy 1 <= n <= k, got 9"),
+        (["roc", "--n", "1", "--lambda-grid", "1:2"], "lambda_grid: expected lo:hi:count, got '1:2'"),
+        (["roc", "--n", "1", "--lambda-grid", "0:1:0"], "lambda_grid: count must be >= 1, got 0"),
+        (["roc", "--n", "1", "--lambda-grid", "1:2:1"], "lambda_grid: a 1-point grid needs lo == hi, got '1:2:1'"),
+        # argparse reads a separate -1:2:3 as a flag
+        (["roc", "--n", "1", "--lambda-grid=-1:2:3"], "lambda_grid: thresholds must be >= 0, got lo=-1.0"),
+    ])
+    def test_bad_rules_and_grids_are_named(self, capsys, argv, message):
+        assert main([argv[0], *BASE, *argv[1:]]) == 2
+        assert capsys.readouterr().err == f"config error: {message}\n"
 
     GRID_BASE = ["--k", "4", "--n", "2", "--samples-m", "6", "--snr-db", "10", "--report-snr-db", "10"]
     SIM_EXTRA = {"roc": [], "simulate": ["--trials", "10", "--seed", "1"]}

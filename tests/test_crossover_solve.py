@@ -8,7 +8,6 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from coopsense import _inversion as inv
 from coopsense import roc
 from coopsense.fusion import _fused_qm
 from coopsense.local_sensing import SensingParams
@@ -31,31 +30,31 @@ class TestCrossingSolve:
         return roc.crossover_table(self.K, self.SENSING, self.CHANNEL)
 
     def test_a_nan_gap_raises(self, monkeypatch):
-        monkeypatch.setattr(inv, "_gap_and_slope", lambda *args: (np.full(np.size(args[-1]), np.nan),) * 2)
+        monkeypatch.setattr(roc, "_gap_and_slope", lambda *args: (np.full(np.size(args[-1]), np.nan),) * 2)
         with pytest.raises(ValueError, match="nan"):
             self.table()
 
     def test_exhausting_the_round_cap_raises(self, monkeypatch):
-        monkeypatch.setattr(inv, "_CROSSING_ROUNDS", 2)
+        monkeypatch.setattr(roc, "_CROSSING_ROUNDS", 2)
         with pytest.raises(RuntimeError, match="2 rounds"):
             self.table()
 
     def test_a_gap_of_exactly_zero_returns_that_point(self, monkeypatch):
-        points, gap_and_slope = [], inv._gap_and_slope
+        points, gap_and_slope = [], roc._gap_and_slope
 
         def zero_at_first(k, pair, samples_m, gamma, pe, qs):
             points.append(qs.tolist())
             gap, slope = gap_and_slope(k, pair, samples_m, gamma, pe, qs)
             return np.zeros_like(gap) if len(points) == 1 else gap, slope
 
-        monkeypatch.setattr(inv, "_gap_and_slope", zero_at_first)
+        monkeypatch.setattr(roc, "_gap_and_slope", zero_at_first)
         entries = list(self.table().entries.values())
         assert len(points) == 1 and entries == points[0] and len(entries) == self.K - 1
 
     def test_rounds_stay_few(self, monkeypatch):
-        """Brent took 6 rounds on this table, one lambda_for_qm call each; the Newton steps take 5."""
-        calls, gap_and_slope = [], inv._gap_and_slope
-        monkeypatch.setattr(inv, "_gap_and_slope", lambda *args: calls.append(1) or gap_and_slope(*args))
+        """Brent took 6 rounds on this table, one _lambda_for_qm call each; the Newton steps take 5."""
+        calls, gap_and_slope = [], roc._gap_and_slope
+        monkeypatch.setattr(roc, "_gap_and_slope", lambda *args: calls.append(1) or gap_and_slope(*args))
         self.table()
         assert len(calls) <= 5
 
@@ -90,7 +89,7 @@ def test_a_table_mixing_crossings_with_both_dominant_rules_matches_its_pairs():
 
 def exact_gap_signs(k, pair, samples_m, gamma, pe, qs, tie):
     """The gap-sign scan without its forward table: every level inverted exactly."""
-    gap = inv.qf_gap(k, pair, samples_m, gamma, pe, qs)
+    gap = roc._qf_gap(k, pair, samples_m, gamma, pe, qs)
     return gap > 0.0, gap < -tie
 
 
@@ -99,19 +98,19 @@ def exact_gap_signs(k, pair, samples_m, gamma, pe, qs, tie):
        st.one_of(st.floats(-3.0, 20.0), st.none()))
 def test_the_table_certifies_only_the_exact_signs(k, m, snr_db, snr_r_db):
     channel = perfect_channel() if snr_r_db is None else channel_from_snr_db(snr_r_db)
-    scans, gap_signs = [], inv.gap_signs
+    scans, gap_signs = [], roc._gap_signs
 
     def recorded(*args):
         scans.append(args)
         return gap_signs(*args)
 
     with pytest.MonkeyPatch.context() as patch:
-        patch.setattr(inv, "gap_signs", recorded)
+        patch.setattr(roc, "_gap_signs", recorded)
         table = roc.crossover_table(k, sensing(m, snr_db), channel)
-        patch.setattr(inv, "gap_signs", exact_gap_signs)
+        patch.setattr(roc, "_gap_signs", exact_gap_signs)
         assert hexed(table.entries) == hexed(roc.crossover_table(k, sensing(m, snr_db), channel).entries)
     for args in scans:
-        worse, better, open_ = inv._table_signs(*args)
+        worse, better, open_ = roc._table_signs(*args)
         exact_worse, exact_better = exact_gap_signs(*args)
         assert np.array_equal(worse[~open_], exact_worse[~open_])
         assert np.array_equal(better[~open_], exact_better[~open_])
@@ -123,13 +122,13 @@ def test_the_table_decides_most_benchmarked_levels():
     n = np.repeat(np.arange(1, k), roc._CROSSOVER_SCAN_POINTS)
     qs = np.concatenate([np.geomspace(_fused_qm(k, r + 1, 0.0, pe) * 1.001, _fused_qm(k, r, 1.0, pe) * 0.999,
                                       roc._CROSSOVER_SCAN_POINTS) for r in range(1, k)])
-    _, _, open_ = inv._table_signs(k, np.array([n, n + 1]), 6, 10.0, pe, qs, roc._QF_TIE_TOL)  # M 6, 10 dB
+    _, _, open_ = roc._table_signs(k, np.array([n, n + 1]), 6, 10.0, pe, qs, roc._QF_TIE_TOL)  # M 6, 10 dB
     assert open_.mean() < 0.05
 
 
 def test_scans_are_bounded_and_their_split_changes_no_bit(monkeypatch):
     k, sens, channel = 40, sensing(6, 10.0), channel_from_snr_db(10.0)
-    sizes, rules, inside, gap_signs, fused_qm = [], [], [], inv.gap_signs, inv._fused_qm
+    sizes, rules, inside, gap_signs, fused_qm = [], [], [], roc._gap_signs, roc._fused_qm
 
     def recorded(k, pair, samples_m, gamma, pe, qs, tie):
         sizes.append(np.size(qs))
@@ -144,8 +143,8 @@ def test_scans_are_bounded_and_their_split_changes_no_bit(monkeypatch):
             rules.append(np.unique(n).size)
         return fused_qm(k, n, pm, pe)
 
-    monkeypatch.setattr(inv, "gap_signs", recorded)
-    monkeypatch.setattr(inv, "_fused_qm", tabulated)
+    monkeypatch.setattr(roc, "_gap_signs", recorded)
+    monkeypatch.setattr(roc, "_fused_qm", tabulated)
     whole = roc.crossover_table(k, sens, channel).entries
     assert sizes and max(sizes) <= roc._SCAN_PAIRS * roc._CROSSOVER_SCAN_POINTS and len(sizes) > 1
     assert max(rules) <= roc._SCAN_PAIRS + 1

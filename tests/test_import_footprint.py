@@ -1,4 +1,4 @@
-"""Start-up footprint: no command loads scipy.optimize, and only optimal-n loads the threshold solver."""
+"""Start-up footprint: no command loads scipy.optimize."""
 import json
 import subprocess
 import sys
@@ -40,7 +40,7 @@ def run_python(code, *args):
 
 
 def test_no_command_loads_scipy_optimize(tmp_path):
-    # the crossovers are solved by coopsense._inversion.crossings; roc.optimize stays a lazy, untouched binding
+    # the crossovers are solved by roc._crossings; roc.optimize stays a lazy, untouched binding
     seen = run_python(SCRIPT, str(tmp_path), json.dumps(COMMANDS), json.dumps(ARGS), "scipy.optimize._optimize")
     assert seen == {"before": False, "after": False, "same_brentq": True}
 
@@ -52,7 +52,3 @@ def test_an_already_imported_scipy_optimize_is_reused(first):
             " and type(coopsense.roc.optimize) is type(sys)))")
     assert run_python(code) is True
 
-
-def test_only_optimal_n_loads_the_threshold_solver(tmp_path):
-    seen = run_python(SCRIPT, str(tmp_path), json.dumps(COMMANDS), json.dumps(ARGS), "coopsense._inversion")
-    assert seen == {"before": False, "after": True, "same_brentq": True}

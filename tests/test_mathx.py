@@ -3,9 +3,9 @@ import math
 
 import pytest
 
-from coopsense._inversion import _log_beta_density
 from coopsense.local_sensing import _local_pf
 from coopsense.mathx import Probability, as_probability, db_to_linear, gaussian_q
+from coopsense.roc import _log_beta_density
 
 
 def reg_upper_incomplete_gamma(a, x):

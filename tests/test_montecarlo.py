@@ -79,6 +79,11 @@ class TestValidation:
             run_grid(s, [1.0], [2, 2])
         with pytest.raises(ValueError):
             run_grid(s, [1.0, 1.0], [2])
+        for lambdas in ([-1.0], [np.inf]):
+            with pytest.raises(ValueError, match="lambdas must be finite and >= 0"):
+                run_grid(s, lambdas, [2])
+        with pytest.raises(ValueError, match="workers must be >= 1"):
+            run_grid(s, [1.0], [2], workers=0)
 
 
 class TestDeterminism:

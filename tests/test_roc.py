@@ -87,7 +87,8 @@ class TestRocCurve:
             check_roc_invariants(lambdas, *sweep.fused(n, slice(None)), sweep.qf_floor[r], sweep.qm_floor[r])
 
     def test_sweep_rejects_rules_outside_k_and_bad_thresholds(self):
-        for ns, lambdas in (([0, 2], [1.0]), ([5], [1.0]), ([1], [-1.0]), ([1], [1.0, np.inf]), ([1], [np.nan])):
+        for ns, lambdas in (([0, 2], [1.0]), ([5], [1.0]), ([1.5], [10.0]), ([1], [-1.0]), ([1], [1.0, np.inf]),
+                            ([1], [np.nan])):
             with pytest.raises(ValueError):
                 RocSweep.of(4, ns, SENSING, CH10, lambdas)
 
@@ -334,7 +335,7 @@ class TestKernelPath:
             assert qm[i] == float(fused_qm(rule(4, n), 1.0, pe))
 
     def test_inversion_hits_the_target_and_ignores_its_batch(self):
-        from coopsense._inversion import _predict, lambda_for_qm
+        from coopsense.roc import _lambda_for_qm, _predict
 
         pe = float(CH10.pe)
         # Newton roots, and targets 1e-10 of the span from a floor or a loose limit, which are bisected
@@ -343,9 +344,10 @@ class TestKernelPath:
         ns = np.array([1, 2, 4, 2, 3, 2, 3])
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            bisected = np.isnan(_predict(4, ns, 6, 100.0, pe, targets))
-            batch = lambda_for_qm(4, ns, 6, 100.0, pe, targets)
-            alone = [lambda_for_qm(4, np.array([n]), 6, 100.0, pe, target)[0] for n, target in zip(ns, targets)]
+            limits = _fused_qm(4, ns, 0.0, pe), _fused_qm(4, ns, 1.0, pe)
+            bisected = np.isnan(_predict(4, ns, 6, 100.0, pe, targets, *limits))
+            batch = _lambda_for_qm(4, ns, 6, 100.0, pe, targets)
+            alone = [_lambda_for_qm(4, np.array([n]), 6, 100.0, pe, target)[0] for n, target in zip(ns, targets)]
         assert bisected.tolist() == [False] * 3 + [True] * 4
         assert batch.tolist() == alone
         for n, target, lam in zip(ns, targets, batch):

@@ -12,7 +12,6 @@ from hypothesis import strategies as st
 from scipy import optimize
 from scipy import special as _sp
 
-from coopsense import _inversion as inv
 from coopsense import roc
 from coopsense.cli import main
 from coopsense.fusion import _fused_qf, _fused_qm
@@ -35,11 +34,12 @@ AMPLIFICATION = 8.0
 TOLERANCES = 64
 
 
-def bisection_oracle(k, n, samples_m, gamma, pe, target):
-    """The plain threshold bisection, kept verbatim as the oracle of lambda_for_qm's fallback."""
+def bisection_oracle(k, n, samples_m, gamma, pe, target, xtol=1e-13, rtol=8.9e-16):
+    """The plain threshold bisection, kept verbatim as the oracle of _lambda_for_qm's fallback. It stops at
+    hi - lo <= xtol + rtol hi: by default an absolute 1e-13, the scan oracle's tolerance."""
     n, target = np.broadcast_arrays(n, np.asarray(target, dtype=float))
     miss = lambda lam: _fused_qm(k, n, _local_pm(samples_m, gamma, lam), pe)
-    hi = np.full(target.shape, 2.0 * _sp.gammainccinv(samples_m, inv._PF_SWEEP_LO))
+    hi = np.full(target.shape, 2.0 * _sp.gammainccinv(samples_m, roc._PF_SWEEP_LO))
     # Extend the brackets geometrically; the fused miss saturates exactly once
     # the local tail probabilities underflow, so this always terminates.
     for _ in range(200):
@@ -51,7 +51,7 @@ def bisection_oracle(k, n, samples_m, gamma, pe, target):
         raise RuntimeError("the fused miss did not reach its target within 200 threshold doublings")
     lo = np.zeros_like(hi)
     while True:
-        unsettled = hi - lo > inv._LAMBDA_XTOL + inv._LAMBDA_RTOL * hi
+        unsettled = hi - lo > xtol + rtol * hi
         if not unsettled.any():
             return hi
         mid = np.where(unsettled, 0.5 * (lo + hi), hi)
@@ -133,7 +133,7 @@ def amplification(k, n, m, gamma, pe, lam):
     """How many roundings of the threshold the closed form's rounding at lam is worth: the fused miss's
     condition F / (lam dF/dlam), and the local miss's pm / (lam dpm/dlam) scaled by the cancellation in
     pm = P(M-1, lam/2) - fade and in the flip pe + (1 - 2 pe) pm."""
-    qm, slope = inv._fused_miss(k, n, m, gamma, pe, lam)
+    qm, slope = roc._fused_miss(k, n, m, gamma, pe, lam)
     pm, dpm = _local_pm_parts(m, gamma, lam)
     local = pm / (lam * dpm)
     cancel = 1.0 if m == 1 else _sp.gammainc(m - 1, lam / 2.0) / pm
@@ -144,7 +144,7 @@ def amplification(k, n, m, gamma, pe, lam):
 def crossing_error(k, n, m, gamma, pe, q):
     """Distance of q from the exact crossing of rules n and n+1, in Brent tolerances 1e-15 + 8.9e-16 q: one
     Newton step on the exact gap qf[n+1] - qf[n], each rule at its exact threshold for miss level q."""
-    lam = inv.lambda_for_qm(k, np.array([n, n + 1]), m, gamma, pe, np.array([q, q]))
+    lam = roc._lambda_for_qm(k, np.array([n, n + 1]), m, gamma, pe, np.array([q, q]))
 
     def gap(level):
         return (exact_false_alarm(k, n + 1, m, pe, exact_threshold(k, n + 1, m, gamma, pe, level, lam[1]))
@@ -176,9 +176,9 @@ def targets_between(k, pe, ns, fractions):
 
 
 def random_targets(k, m, gamma, pe, rng, size):
-    """Rules, targets spread over their spans, and their thresholds from one lambda_for_qm call."""
+    """Rules, targets spread over their spans, and their thresholds from one _lambda_for_qm call."""
     ns, target = targets_between(k, pe, rng.integers(1, k + 1, size=size), rng.random(size))
-    return ns, target, inv.lambda_for_qm(k, ns, m, gamma, pe, target)
+    return ns, target, roc._lambda_for_qm(k, ns, m, gamma, pe, target)
 
 
 @settings(PROPERTY, max_examples=100)
@@ -213,9 +213,32 @@ def test_targets_at_either_end_are_bisected_bit_for_bit():
         ns, target = targets_between(k, pe, ns, np.tile([1e-10, 1.0 - 1e-10], k))
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            assert np.isnan(inv._predict(k, ns, m, gamma, pe, target)).all()
-            got = inv.lambda_for_qm(k, ns, m, gamma, pe, target)
-        assert got.tobytes() == bisection_oracle(k, ns, m, gamma, pe, target).tobytes()
+            floor, sup = _fused_qm(k, ns, 0.0, pe), _fused_qm(k, ns, 1.0, pe)
+            assert np.isnan(roc._predict(k, ns, m, gamma, pe, target, floor, sup)).all()
+            got = roc._lambda_for_qm(k, ns, m, gamma, pe, target)
+        want = bisection_oracle(k, ns, m, gamma, pe, target, roc._LAMBDA_XTOL, roc._LAMBDA_RTOL)
+        assert got.tobytes() == want.tobytes()
+
+
+@pytest.mark.parametrize("gamma", [1e6, 100.0, 0.5])
+def test_tiny_targets_meet_the_closed_form_threshold_at_m_1(gamma):
+    # at M = 1 the local miss is -expm1(-lam / (2 + 2 gamma)), and a perfect channel's OR rule of K radios
+    # misses with pm^K, so rule 1's threshold for target q is -(2 + 2 gamma) log1p(-q^(1/K)); the bisection
+    # stop is relative while 8.9e-16 of the threshold is a normal float, at thresholds above 2.5e-293
+    for k, targets in ((1, np.array([1e-280, 1e-200, 1e-100, 1e-20, 1e-9])),
+                       (4, np.array([1e-300, 1e-200, 1e-60, 1e-9]))):
+        got = roc._lambda_for_qm(k, 1, 1, gamma, 0.0, targets)
+        want = -(2.0 + 2.0 * gamma) * np.log1p(-targets ** (1.0 / k))
+        np.testing.assert_allclose(got, want, rtol=1e-12)
+
+
+def test_targets_at_or_above_the_loose_limit_need_an_infinite_threshold():
+    k, m, gamma, pe = 4, 6, 10.0, bit_error(5.0)
+    ns = np.arange(1, k + 1)
+    sup = _fused_qm(k, ns, 1.0, pe)
+    below = sup * (1.0 - 1e-6)
+    lam = roc._lambda_for_qm(k, np.tile(ns, 3), m, gamma, pe, np.concatenate([below, sup, 0.5 * (1.0 + sup)]))
+    assert np.isfinite(lam[:k]).all() and (lam[k:] == np.inf).all()
 
 
 def assert_crossings_balance(table, k, m, gamma, pe):
@@ -283,7 +306,7 @@ def test_scrambled_channel_skips_the_prediction_silently():
     target = _fused_qm(k, ns, 0.5, 0.5) * 1.5
     with warnings.catch_warnings(), np.errstate(all="raise"):
         warnings.simplefilter("error")
-        lam = inv._predict(k, ns, 6, 10.0, 0.5, target)
+        lam = roc._predict(k, ns, 6, 10.0, 0.5, target, *(_fused_qm(k, ns, p, 0.5) for p in (0.0, 1.0)))
     assert np.isnan(lam).all()
 
 
@@ -296,7 +319,7 @@ class TestMathAgainstMpmath:
         a = k - n + 1
         floor, sup = float(_fused_qm(k, n, 0.0, pe)), float(_fused_qm(k, n, 1.0, pe))
         qs = np.geomspace(max(floor * (1.0 + 1e-6), 1e-300), sup * (1.0 - 1e-12), 9)
-        zeros = inv._zero_for_qm(k, np.full(qs.shape, n), qs)
+        zeros = roc._zero_for_qm(k, np.full(qs.shape, n), qs)
         with mp.workdps(50):
             for q, zero in zip(qs.tolist(), zeros.tolist()):
                 # the bit probability's forward value recovers the target
@@ -312,7 +335,7 @@ class TestMathAgainstMpmath:
         with mp.workdps(50):
             for k in range(2, 13):
                 for n in range(1, k + 1):
-                    zeros = inv._zero_for_qm(k, np.full(qs.shape, n), qs)
+                    zeros = roc._zero_for_qm(k, np.full(qs.shape, n), qs)
                     for q, zero in zip(qs.tolist(), zeros.tolist()):
                         assert abs(upper_tail(k - n + 1, n, zero) / mp.mpf(q) - 1) < 1e-12 * k, (k, n, q)
 
@@ -343,7 +366,7 @@ class TestMathAgainstMpmath:
                 lower = lam <= 2.0 * m
                 exact = mp.diff(lambda x: -mp.gammainc(m, 0, x / 2, regularized=True) if lower
                                 else mp.gammainc(m, x / 2, mp.inf, regularized=True), mp.mpf(lam))
-                assert abs(-mp.exp(mp.mpf(float(inv._log_pf_slope(m, lam)))) / exact - 1) < 1e-12, lam
+                assert abs(-mp.exp(mp.mpf(float(roc._log_pf_slope(m, lam)))) / exact - 1) < 1e-12, lam
             # thresholds at local false alarms 0.5 and 0.01, where neither local probability is so near 0 or 1
             # that its own rounding moves the slope
             for lam in 2.0 * _sp.gammainccinv(m, np.array([0.5, 0.01])):
@@ -351,7 +374,7 @@ class TestMathAgainstMpmath:
                     for k, n, pe in [(4, 2, 0.03), (8, 1, 1e-4), (8, 8, 0.2), (12, 5, 1e-9)]:
                         exact = (mp.diff(lambda x: exact_false_alarm(k, n, m, pe, x), mp.mpf(lam))
                                  / mp.diff(lambda x: exact_miss(k, n, m, gamma, pe, x), mp.mpf(lam)))
-                        slope = inv._roc_slope(k, n, m, gamma, pe, lam)
+                        slope = roc._roc_slope(k, n, m, gamma, pe, lam)
                         assert abs(mp.mpf(float(slope)) / exact - 1) < 1e-12, (lam, gamma, k, n, pe)
 
 
