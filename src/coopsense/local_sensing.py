@@ -60,7 +60,9 @@ def _threshold_for_pf(samples_m: int, pf):
 def _fade(samples_m: int, gamma: float, lam):
     """Fading-averaged part of the detection probability, shared by pd and pm (M >= 2)."""
     growth = ((1.0 + gamma) / gamma) ** (samples_m - 1)
-    scaled = lam * gamma / (2.0 + 2.0 * gamma)
+    # lam * gamma overflows only past 1.8e308, where inf is the limit: gammainc(M-1, inf) = 1
+    with np.errstate(over="ignore"):
+        scaled = lam * gamma / (2.0 + 2.0 * gamma)
     return growth * np.exp(-lam / (2.0 + 2.0 * gamma)) * _sp.gammainc(samples_m - 1, scaled)
 
 

@@ -14,9 +14,9 @@ a direct constrained minimization.
 
 Rule n's threshold for a miss target (:func:`_lambda_for_qm`) has one meaning
 for every target at or above the rule's floor, its miss as the threshold goes
-to 0: the Newton root of the fused miss (:func:`_predict`), a plain bisection
-(:func:`_bisection`) where none settles, and inf at or above the rule's loose
-limit, its miss as the threshold goes to inf, where the detector never fires.
+to 0: the root of the fused miss, found by one bracketed Newton solve, and
+inf at or above the rule's loose limit, its miss as the threshold goes to
+inf, where the detector never fires.
 A crossover table is one solve over all rule pairs (:func:`_crossovers`).
 Gap-sign scans (:func:`_gap_signs`) compare the two rules' fused false alarms
 at equal miss; a forward table of both rules' fused qm and qf certifies most
@@ -69,16 +69,16 @@ def _lazy_module(name: str):
 # touches its attributes, so no command imports scipy.optimize.
 optimize = _lazy_module("scipy.optimize")
 
-# The bisection starts at local false alarm 1e-9 and stops within these
-# tolerances: 8.9e-16 of the threshold, while that is a normal float.
+# The threshold solve starts where its local Newton start does not settle, at
+# local false alarm 1e-9, and its bracket closes within these tolerances:
+# 8.9e-16 of the threshold, while that is a normal float.
 _PF_SWEEP_LO = 1e-9
 _LAMBDA_XTOL = np.finfo(float).tiny
 _LAMBDA_RTOL = 8.9e-16
-# Targets this close to a floor or a loose limit, relative to the span between them, are bisected.
-_EDGE = 1e-9
-# Iteration caps of the Newton solve; an element not settled by then is bisected.
+# Iteration cap of the threshold solve's local Newton start, and the solve's round cap: the most
+# rounds measured were 76 (K 32, n 11, M 1, -5 dB, a perfect channel, target 1e-300).
 _NEWTON_STEPS = 60
-_FUSED_STEPS = 4
+_THRESHOLD_ROUNDS = 100
 # The relative margin by which the gap-sign scan's forward table widens each bound (see _table_signs).
 _MARGIN = 1e-9
 # The crossing solve's tolerance, Brent's 1e-15 + 8.9e-16 q, and its round cap.
@@ -217,31 +217,46 @@ def _zero_for_qm(k: int, n, target):
 
 
 def _log_thresholds(samples_m: int, points: int):
-    """log lam on a forward grid of 24 e-folds around Q^-1(M, 1e-9), where the bisection starts."""
+    """log lam on a forward grid of 24 e-folds around Q^-1(M, 1e-9), where the threshold solve starts."""
     return math.log(_threshold_for_pf(samples_m, _PF_SWEEP_LO)) + np.linspace(-16.0, 8.0, points)
 
 
-def _predict(k: int, n, samples_m: int, gamma: float, pe: float, target, floor, sup):
-    """Newton roots of the fused miss at the targets of rules n, with floors and loose limits floor and sup;
-    nan where none settles.
+def _lambda_for_qm(k: int, n, samples_m: int, gamma: float, pe: float, target):
+    """Thresholds at which rules n reach miss targets at or above their floors, inf at or above their
+    loose limits.
 
     The fused miss inverts in closed form to a local one (DLMF 8.17):
     pm* = (I^-1(K-n+1, n; target) - pe) / (1 - 2 pe). Newton's method,
     started from a table and with steps capped at 1, solves pm(lam) = pm* in
     log lam, on log pm for pm* <= 1/2 and on -log(1 - pm) above, using the
     exact slope (Digham, Alouini & Simon, IEEE Trans. Commun. 55(1), 2007);
-    each element leaves the iteration once settled. Newton steps on the
-    fused miss itself then absorb the rounding of pm*: the root is the
-    threshold after the first step within 2^-26 of it.
+    each element leaves the iteration once settled. An element whose pm*
+    rounds outside (0, 1), or that does not settle, starts at the threshold
+    of local false alarm 1e-9 instead.
+
+    Newton steps on the fused miss itself then absorb the rounding of pm*,
+    inside a bracket, first the normal floats, whose ends each evaluated
+    threshold moves by the sign of qm - target. As in Numerical Recipes'
+    rtsafe, a step that leaves the bracket, or moves lam by more than half
+    the move before the last, is replaced by a split; both are measured in
+    log lam, so a miss that grows as a power of lam near 0 is split rather
+    than halved. The root is the threshold after the first step within
+    2^-26 of it, or else the bracket's upper end once the bracket is within
+    _LAMBDA_XTOL + _LAMBDA_RTOL hi or a split rounds onto one of its ends.
+    Each element's result depends on its own inputs only.
     """
-    lam, root = np.full(target.shape, np.nan), np.full(target.shape, np.nan)
-    # no target is inside the span of the scrambled channel, whose miss does not depend on lam
-    idx = np.flatnonzero((target - floor > _EDGE * (sup - floor)) & (sup - target > _EDGE * (sup - floor)))
-    local = (_zero_for_qm(k, n[idx], target[idx]) - pe) / (1.0 - 2.0 * pe)
-    inside = (local > 0.0) & (local < 1.0)
-    idx, local = idx[inside], local[inside]
+    n, target = np.broadcast_arrays(n, np.asarray(target, dtype=float))
+    shape, n, target = target.shape, n.ravel(), target.ravel()
+    floor, sup = _fused_qm(k, n, 0.0, pe), _fused_qm(k, n, 1.0, pe)
+    lam, idx = np.full(target.shape, np.inf), np.flatnonzero(target < sup)
     if not idx.size:
-        return root
+        return lam.reshape(shape)
+    start = np.full(target.shape, _threshold_for_pf(samples_m, _PF_SWEEP_LO))
+    # no target is inside the span of the scrambled channel, whose miss does not depend on lam
+    inner = np.flatnonzero((target > floor) & (target < sup))
+    local = (_zero_for_qm(k, n[inner], target[inner]) - pe) / (1.0 - 2.0 * pe)
+    inside = (local > 0.0) & (local < 1.0)
+    inner, local = inner[inside], local[inside]
     right = local > 0.5
     sign = np.where(right, -1.0, 1.0)
     goal = sign * np.log(np.where(right, 1.0 - local, local))
@@ -249,11 +264,11 @@ def _predict(k: int, n, samples_m: int, gamma: float, pe: float, target, floor, 
         # start from a log-spaced table of the miss around the false-alarm sweep's end
         grid = _log_thresholds(samples_m, 97)
         table = _local_pm(samples_m, gamma, np.exp(grid))
-        u = np.empty(idx.size)
+        u = np.empty(inner.size)
         for side, curve in ((~right, np.log(table)), (right, -np.log1p(-table))):
             u[side] = np.interp(goal[side], np.maximum.accumulate(np.clip(curve, -745.0, 745.0)), grid)
         for _ in range(_NEWTON_STEPS):
-            if not idx.size:
+            if not inner.size:
                 break
             x = np.exp(u)
             pm, slope = _local_pm_parts(samples_m, gamma, x)
@@ -263,60 +278,35 @@ def _predict(k: int, n, samples_m: int, gamma: float, pe: float, target, floor, 
             # a miss of exactly 0 or 1 gives nan: step away from it, toward the target
             u = u + np.clip(np.where(np.isnan(step), sign, step), -1.0, 1.0)
             if done.any():
-                lam[idx[done]] = np.exp(u[done])
+                start[inner[done]] = np.exp(u[done])
                 keep = ~done
-                idx, right, sign, goal, u = (v[keep] for v in (idx, right, sign, goal, u))
-        idx = np.flatnonzero(np.isfinite(lam))
-        for _ in range(_FUSED_STEPS):
-            if not idx.size:
-                break
-            x = lam[idx]
+                inner, right, sign, goal, u = (v[keep] for v in (inner, right, sign, goal, u))
+        x = start[idx]
+        lo, hi = np.full(x.shape, _LAMBDA_XTOL), np.full(x.shape, np.finfo(float).max)
+        before = moved = np.full(x.shape, np.inf)
+        for _ in range(_THRESHOLD_ROUNDS):
             qm, slope = _fused_miss(k, n[idx], samples_m, gamma, pe, x)
+            short = qm < target[idx]
+            lo, hi = np.where(short, x, lo), np.where(short, hi, x)
             step = (qm - target[idx]) / slope
-            lam[idx] = x - step
-            settled = np.abs(step) <= 2.0 ** -26 * x
-            root[idx[settled]] = lam[idx[settled]]
-            idx = idx[~settled & np.isfinite(step)]
-    return root
-
-
-def _bisection(k: int, n, samples_m: int, gamma: float, pe: float, target):
-    """Plain bisection: double the bracket [0, 2 Q^-1(M, 1e-9)] until the fused miss reaches the target,
-    then halve it until it is within the tolerances, keeping hi where ``miss < target`` fails."""
-    short = lambda lam: _fused_qm(k, n, _local_pm(samples_m, gamma, lam), pe) < target
-    hi = np.full(target.shape, _threshold_for_pf(samples_m, _PF_SWEEP_LO))
-    for _ in range(200):
-        below = short(hi)
-        if not below.any():
-            break
-        hi = np.where(below, 2.0 * hi, hi)
-    else:
-        raise RuntimeError("the fused miss did not reach its target within 200 threshold doublings")
-    lo = np.zeros_like(hi)
-    while (unsettled := hi - lo > _LAMBDA_XTOL + _LAMBDA_RTOL * hi).any():
-        mid = np.where(unsettled, 0.5 * (lo + hi), hi)
-        below = short(mid)
-        lo, hi = np.where(unsettled & below, mid, lo), np.where(unsettled & ~below, mid, hi)
-    return hi
-
-
-def _lambda_for_qm(k: int, n, samples_m: int, gamma: float, pe: float, target):
-    """Thresholds at which rules n reach miss targets at or above their floors, inf at or above their
-    loose limits.
-
-    The Newton root of :func:`_predict`, or the plain bisection of
-    :func:`_bisection` where none settles; each element's result depends on
-    its own inputs only.
-    """
-    n, target = np.broadcast_arrays(n, np.asarray(target, dtype=float))
-    shape, n, target = target.shape, n.ravel(), target.ravel()
-    floor, sup = _fused_qm(k, n, 0.0, pe), _fused_qm(k, n, 1.0, pe)
-    lam = _predict(k, n, samples_m, gamma, pe, target, floor, sup)
-    lam[target >= sup] = np.inf
-    rest = np.flatnonzero(np.isnan(lam))
-    if rest.size:
-        lam[rest] = _bisection(k, n[rest], samples_m, gamma, pe, target[rest])
-    return lam.reshape(shape)
+            new = x - step
+            newton = (new >= lo) & (new <= hi)
+            settled = newton & (np.abs(step) <= 2.0 ** -26 * x)
+            lam[idx[settled]] = new[settled]
+            if settled.all():
+                return lam.reshape(shape)
+            newton &= np.abs(np.log(new / x)) <= 0.5 * before
+            split = np.sqrt(lo) * np.sqrt(hi)
+            tight = hi - lo <= _LAMBDA_XTOL + _LAMBDA_RTOL * hi
+            closed = ~settled & (tight | ~newton & ((split <= lo) | (split >= hi)))
+            lam[idx[closed]] = hi[closed]
+            nxt = np.where(newton, new, split)
+            before, moved = moved, np.abs(np.log(nxt / x))
+            keep = ~(settled | closed)
+            idx, x, lo, hi, before, moved = (v[keep] for v in (idx, nxt, lo, hi, before, moved))
+            if not idx.size:
+                return lam.reshape(shape)
+    raise RuntimeError(f"the threshold solve did not settle within {_THRESHOLD_ROUNDS} rounds")
 
 
 def _qf_gap(k: int, pair, samples_m: int, gamma: float, pe: float, qs):
@@ -529,7 +519,7 @@ def optimal_n(target_qm: float, num_radios_k: int, sensing: SensingParams,
     lies below every rule's miss floor.
     """
     target = float(target_qm)
-    if not 0.0 < target < 1.0 or not math.isfinite(target):
+    if not 0.0 < target < 1.0:
         raise ValueError(f"target_qm must lie strictly inside (0, 1), got {target_qm!r}")
     k = _radios(num_radios_k)
     m, g, pe = sensing.samples_m, sensing.avg_snr_gamma, float(channel.pe)

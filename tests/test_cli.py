@@ -492,7 +492,7 @@ class TestOptimalN:
 
     @pytest.mark.parametrize("snr_db, target", [("60", "1e-300"), ("20", "1e-60")])
     def test_tiny_targets_are_met(self, capsys, snr_db, target):
-        # a perfect channel puts these targets within 1e-9 of the floor 0, where the bisection takes them
+        # a perfect channel puts these targets within 1e-9 of the span above the floor 0
         assert main(["optimal-n", "--k", "4", "--samples-m", "1", "--snr-db", snr_db, "--perfect-report",
                      "--target-qm", target]) == 0
         achieved = float(parse_kv(capsys.readouterr().out)["achieved_qm"])
@@ -625,6 +625,13 @@ class TestConfigHandling:
         flag = "--" + field.replace("_", "-")
         assert main([command, *self.GRID_BASE, flag, grid, *self.SIM_EXTRA[command]]) == 2
         assert capsys.readouterr().err == f"config error: {field}: lo and hi must be finite, got {grid!r}\n"
+
+    @pytest.mark.parametrize("argv", [["analyze", "--lambda", "1e308"], ["roc", "--lambda-grid", "0:1e308:3"],
+                                      ["simulate", "--lambda", "1e308", "--trials", "10", "--seed", "1"]])
+    def test_a_threshold_of_1e308_runs_silently(self, capsys, argv):
+        # lam * gamma overflows in the local miss; inf is its exact limit there, so nothing may warn
+        assert main([argv[0], *self.GRID_BASE, *argv[1:]]) == 0
+        assert capsys.readouterr().err == ""
 
     @pytest.mark.parametrize("field, grid", [("pf_grid", "0.5:0.5000000000000001:2"),
                                              ("lambda_grid", "0:5e-324:3")])

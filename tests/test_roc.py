@@ -335,20 +335,17 @@ class TestKernelPath:
             assert qm[i] == float(fused_qm(rule(4, n), 1.0, pe))
 
     def test_inversion_hits_the_target_and_ignores_its_batch(self):
-        from coopsense.roc import _lambda_for_qm, _predict
+        from coopsense.roc import _lambda_for_qm
 
         pe = float(CH10.pe)
-        # Newton roots, and targets 1e-10 of the span from a floor or a loose limit, which are bisected
+        # targets inside the span, and targets 1e-10 of the span from a floor or a loose limit
         floor, sup = _fused_qm(4, np.array([2, 3]), 0.0, pe), _fused_qm(4, np.array([2, 3]), 1.0, pe)
         targets = np.array([2e-3, 0.05, 0.3, *(floor + (sup - floor) * 1e-10), *(sup - (sup - floor) * 1e-10)])
         ns = np.array([1, 2, 4, 2, 3, 2, 3])
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            limits = _fused_qm(4, ns, 0.0, pe), _fused_qm(4, ns, 1.0, pe)
-            bisected = np.isnan(_predict(4, ns, 6, 100.0, pe, targets, *limits))
             batch = _lambda_for_qm(4, ns, 6, 100.0, pe, targets)
             alone = [_lambda_for_qm(4, np.array([n]), 6, 100.0, pe, target)[0] for n, target in zip(ns, targets)]
-        assert bisected.tolist() == [False] * 3 + [True] * 4
         assert batch.tolist() == alone
         for n, target, lam in zip(ns, targets, batch):
             assert float(_fused_qm(4, n, _local_pm(6, 100.0, lam), pe)) == pytest.approx(target, rel=1e-9)

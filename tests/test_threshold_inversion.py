@@ -1,5 +1,5 @@
 """The threshold inversion and the crossover table against 40-digit mpmath roots of the same closed
-forms, the bisection fallback against the plain bisection, and the inversion's math against mpmath."""
+forms, edge targets against the plain bisection, and the inversion's math against mpmath."""
 import hashlib
 import math
 import warnings
@@ -35,8 +35,8 @@ TOLERANCES = 64
 
 
 def bisection_oracle(k, n, samples_m, gamma, pe, target, xtol=1e-13, rtol=8.9e-16):
-    """The plain threshold bisection, kept verbatim as the oracle of _lambda_for_qm's fallback. It stops at
-    hi - lo <= xtol + rtol hi: by default an absolute 1e-13, the scan oracle's tolerance."""
+    """The plain threshold bisection, the reference for _lambda_for_qm. It stops at hi - lo <= xtol + rtol hi:
+    by default an absolute 1e-13, the scan oracle's tolerance."""
     n, target = np.broadcast_arrays(n, np.asarray(target, dtype=float))
     miss = lambda lam: _fused_qm(k, n, _local_pm(samples_m, gamma, lam), pe)
     hi = np.full(target.shape, 2.0 * _sp.gammainccinv(samples_m, roc._PF_SWEEP_LO))
@@ -206,30 +206,65 @@ def test_newton_is_closer_to_the_mpmath_root_than_the_bisection():
     assert (newton < bisection).sum() > (newton > bisection).sum()
 
 
-def test_targets_at_either_end_are_bisected_bit_for_bit():
+def test_targets_at_either_end_settle_near_the_mpmath_root():
+    # 1e-10 and 1e-13 of the span from a floor or a loose limit, where pm* cancels, settle with no warning.
+    # Where the closed form is well conditioned (M = 1 and a perfect or near-perfect channel, mostly), each
+    # threshold is within ULPS of the exact root, or else no farther from it than the plain bisection to the
+    # solve's own bracket tolerance, tiny + 8.9e-16 hi. Elsewhere the closed form's rounding decides the root
+    # for either method.
+    checked = 0
     for k, m, gamma, pe in [(8, 6, 10.0, bit_error(5.0)), (5, 1, 3.0, bit_error(-2.0)),
-                            (12, 16, 300.0, bit_error(18.0)), (4, 6, 100.0, 0.0)]:
-        ns = np.repeat(np.arange(1, k + 1), 2)
-        ns, target = targets_between(k, pe, ns, np.tile([1e-10, 1.0 - 1e-10], k))
+                            (12, 16, 300.0, bit_error(18.0)), (4, 6, 100.0, 0.0), (6, 1, 10.0, 0.0),
+                            (10, 1, 1000.0, bit_error(20.0)), (12, 1, 0.5, 0.0)]:
+        ns = np.repeat(np.arange(1, k + 1), 4)
+        ns, target = targets_between(k, pe, ns, np.tile([1e-10, 1e-13, 1.0 - 1e-10, 1.0 - 1e-13], k))
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            floor, sup = _fused_qm(k, ns, 0.0, pe), _fused_qm(k, ns, 1.0, pe)
-            assert np.isnan(roc._predict(k, ns, m, gamma, pe, target, floor, sup)).all()
-            got = roc._lambda_for_qm(k, ns, m, gamma, pe, target)
-        want = bisection_oracle(k, ns, m, gamma, pe, target, roc._LAMBDA_XTOL, roc._LAMBDA_RTOL)
-        assert got.tobytes() == want.tobytes()
+            lam = roc._lambda_for_qm(k, ns, m, gamma, pe, target)
+        assert np.isfinite(lam).all()
+        for n, t, x in zip(ns.tolist(), target.tolist(), lam.tolist()):
+            if amplification(k, n, m, gamma, pe, x) > AMPLIFICATION:
+                continue
+            checked += 1
+            off = ulps_off(k, n, m, gamma, pe, t, x)
+            if off > ULPS:
+                want = bisection_oracle(k, n, m, gamma, pe, t, 2.2250738585072014e-308, 8.9e-16)
+                assert off <= ulps_off(k, n, m, gamma, pe, t, want), (k, n, t, x)
+    assert checked >= 50
 
 
 @pytest.mark.parametrize("gamma", [1e6, 100.0, 0.5])
 def test_tiny_targets_meet_the_closed_form_threshold_at_m_1(gamma):
     # at M = 1 the local miss is -expm1(-lam / (2 + 2 gamma)), and a perfect channel's OR rule of K radios
-    # misses with pm^K, so rule 1's threshold for target q is -(2 + 2 gamma) log1p(-q^(1/K)); the bisection
-    # stop is relative while 8.9e-16 of the threshold is a normal float, at thresholds above 2.5e-293
-    for k, targets in ((1, np.array([1e-280, 1e-200, 1e-100, 1e-20, 1e-9])),
+    # misses with pm^K, so rule 1's threshold for target q is -(2 + 2 gamma) log1p(-q^(1/K)), down to
+    # thresholds of 1e-300
+    for k, targets in ((1, np.array([1e-300, 1e-290, 1e-280, 1e-200, 1e-100, 1e-20, 1e-9])),
                        (4, np.array([1e-300, 1e-200, 1e-60, 1e-9]))):
         got = roc._lambda_for_qm(k, 1, 1, gamma, 0.0, targets)
         want = -(2.0 + 2.0 * gamma) * np.log1p(-targets ** (1.0 / k))
         np.testing.assert_allclose(got, want, rtol=1e-12)
+
+
+def test_exhausting_the_threshold_round_cap_raises(monkeypatch):
+    # a target far below the start table: the local Newton start does not settle, and the bracket takes it
+    monkeypatch.setattr(roc, "_THRESHOLD_ROUNDS", 2)
+    with pytest.raises(RuntimeError, match="2 rounds"):
+        roc._lambda_for_qm(2, 1, 1, 1.0, 0.0, 1e-200)
+
+
+@settings(PROPERTY, max_examples=60)
+@given(st.integers(1, 40), st.floats(-5.0, 30.0), st.floats(-300.0, -100.0))
+def test_deep_targets_settle_within_the_round_cap(k, snr_db, exponent):
+    # with a perfect channel at M = 1 these thresholds lie far below the start table, so most elements
+    # start at the threshold of local false alarm 1e-9 and the bracket's splits in log lam carry them down
+    # to the root. A larger rule needs a lower threshold. Below about 1e-280 scipy's betainc, the fused
+    # miss, loses digits (I_x(28, 12) = 8.7e-298 is 2.2e-7 off mpmath's), so only the targets above that
+    # are checked forward.
+    gamma, ns, target = 10.0 ** (snr_db / 10.0), np.arange(1, k + 1), 10.0 ** exponent
+    lam = roc._lambda_for_qm(k, ns, 1, gamma, 0.0, target)
+    assert np.isfinite(lam).all() and (np.diff(lam) < 0.0).all()
+    if target >= 1e-280:
+        np.testing.assert_allclose(_fused_qm(k, ns, _local_pm(1, gamma, lam), 0.0), target, rtol=1e-12)
 
 
 def test_targets_at_or_above_the_loose_limit_need_an_infinite_threshold():
@@ -301,13 +336,14 @@ class TestChannelLimits:
         assert hashlib.sha256(out.read_bytes()).hexdigest() == digests[fmt]
 
 
-def test_scrambled_channel_skips_the_prediction_silently():
+def test_scrambled_channel_needs_an_infinite_threshold_silently():
+    # at pe = 0.5 every floor is its loose limit, so no target is solved for
     k, ns = 4, np.arange(1, 5)
     target = _fused_qm(k, ns, 0.5, 0.5) * 1.5
     with warnings.catch_warnings(), np.errstate(all="raise"):
         warnings.simplefilter("error")
-        lam = roc._predict(k, ns, 6, 10.0, 0.5, target, *(_fused_qm(k, ns, p, 0.5) for p in (0.0, 1.0)))
-    assert np.isnan(lam).all()
+        lam = roc._lambda_for_qm(k, ns, 6, 10.0, 0.5, target)
+    assert (lam == np.inf).all()
 
 
 class TestMathAgainstMpmath:
