@@ -7,17 +7,11 @@ vote. Includes ROC generation, rule-crossover detection, and adaptive
 selection of the vote threshold for a target miss-detection probability.
 """
 
-from .fusion import (
-    FusionConfig,
-    asymptotic_qf,
-    asymptotic_qm,
-    fused_qf,
-    fused_qm,
-)
+from .fusion import FusionConfig, fused_qf, fused_qm
 from .local_sensing import SensingParams, local_pd, local_pf, local_pm, threshold_for_pf
 from .mathx import Probability, db_to_linear, gaussian_q
 from .montecarlo import SimGrid, SimScenario, run_grid
-from .reporting import ReportChannel, channel_from_snr_db, perfect_channel
+from .reporting import ReportChannel, channel_from_snr_db
 from .roc import (
     CrossoverTable,
     InfeasibleTargetError,
@@ -46,12 +40,9 @@ __all__ = [
     "local_pd",
     "local_pm",
     "threshold_for_pf",
-    "perfect_channel",
     "channel_from_snr_db",
     "fused_qf",
     "fused_qm",
-    "asymptotic_qf",
-    "asymptotic_qm",
     "run_grid",
     "crossover_table",
     "optimal_n",

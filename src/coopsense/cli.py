@@ -29,7 +29,7 @@ from .fusion import FusionConfig
 from .local_sensing import SensingParams, _threshold_for_pf
 from .mathx import db_to_linear
 from .montecarlo import SimGrid, SimScenario, run_grid
-from .reporting import ReportChannel, channel_from_snr_db, perfect_channel
+from .reporting import ReportChannel, channel_from_snr_db
 from .roc import InfeasibleTargetError, RocSweep, optimal_n
 
 EXIT_OK = 0
@@ -166,7 +166,7 @@ def _channel(cfg: dict) -> ReportChannel:
     if perfect and snr is not None:
         raise ConfigError("report_snr_db: give either report_snr_db or perfect_report, not both")
     if perfect:
-        return perfect_channel()
+        return ReportChannel(noise_var_sigma2=0.0)
     if snr is None:
         raise ConfigError("report_snr_db: required unless perfect_report is set")
     try:

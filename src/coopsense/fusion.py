@@ -5,7 +5,10 @@ The fusion center declares the primary user active when at least ``n`` of the
 passed through the symmetric flip channel, so both fused error probabilities
 are binomial tails in the post-flip bit probabilities, each one regularized
 incomplete beta function. That keeps full relative accuracy even for the tiny
-asymptotic floors at high reporting SNR.
+floors at high reporting SNR. A rule's floors, its fused qf and qm as the local
+detector becomes perfect, are ``fused_qf(cfg, 0.0, pe)`` and
+``fused_qm(cfg, 0.0, pe)``: residual errors caused purely by report bit flips,
+the qf floor strictly decreasing in n and the qm floor strictly increasing.
 """
 from __future__ import annotations
 
@@ -19,8 +22,6 @@ __all__ = [
     "FusionConfig",
     "fused_qf",
     "fused_qm",
-    "asymptotic_qf",
-    "asymptotic_qm",
 ]
 
 
@@ -33,15 +34,13 @@ class FusionConfig:
     vote_threshold_n: int
 
     def __post_init__(self):
-        k, n = self.num_radios_k, self.vote_threshold_n
-        if not isinstance(k, int) or k < 1:
-            raise ValueError(f"num_radios_k must be a positive integer, got {k!r}")
-        if not isinstance(n, int) or not 1 <= n <= k:
-            raise ValueError(f"vote_threshold_n must satisfy 1 <= n <= {k}, got {n!r}")
+        _check_rules(self.num_radios_k, (self.vote_threshold_n,), "vote_threshold_n")
 
 
-def _check_rules(k: int, ns, name: str) -> None:
-    """Raise ValueError unless every vote rule in ``ns`` is an integer in 1..K."""
+def _check_rules(k: int, ns=(), name: str = "ns") -> None:
+    """Raise ValueError unless K is a positive integer and every vote rule in ``ns`` an integer in 1..K."""
+    if not isinstance(k, int) or k < 1:
+        raise ValueError(f"num_radios_k must be a positive integer, got {k!r}")
     if not all(isinstance(n, int) and 1 <= n <= k for n in ns):
         raise ValueError(f"{name} must be integer vote thresholds in [1, {k}], got {ns!r}")
 
@@ -81,22 +80,3 @@ def fused_qm(cfg: FusionConfig, pm, pe) -> Probability:
     """
     pm, pe = float(Probability(pm)), float(Probability(pe))
     return as_probability(_fused_qm(cfg.num_radios_k, cfg.vote_threshold_n, pm, pe))
-
-
-def asymptotic_qf(cfg: FusionConfig, pe) -> Probability:
-    """False alarm floor as the local detector becomes perfect (pf -> 0).
-
-    Residual false alarms are caused purely by report bit flips; strictly
-    decreasing in n. Equal to fused_qf at pf = 0 by construction. Public
-    because it names the paper's floor, which acceptance criterion 2 states.
-    """
-    return as_probability(_fused_qf(cfg.num_radios_k, cfg.vote_threshold_n, 0.0, float(Probability(pe))))
-
-
-def asymptotic_qm(cfg: FusionConfig, pe) -> Probability:
-    """Miss detection floor as the local detector becomes perfect (pm -> 0).
-
-    Strictly increasing in n. Equal to fused_qm at pm = 0 by construction.
-    Public because it names the paper's floor, which acceptance criterion 2 states.
-    """
-    return as_probability(_fused_qm(cfg.num_radios_k, cfg.vote_threshold_n, 0.0, float(Probability(pe))))

@@ -15,7 +15,6 @@ from .mathx import Probability, db_to_linear, gaussian_q
 
 __all__ = [
     "ReportChannel",
-    "perfect_channel",
     "channel_from_snr_db",
 ]
 
@@ -42,11 +41,6 @@ class ReportChannel:
         if self.noise_var_sigma2 == 0.0:
             return Probability(0.0)
         return gaussian_q(0.5 / math.sqrt(self.noise_var_sigma2))
-
-
-def perfect_channel() -> ReportChannel:
-    """Error-free reporting link (bit error probability exactly 0)."""
-    return ReportChannel(noise_var_sigma2=0.0)
 
 
 def channel_from_snr_db(snr_r_db: float) -> ReportChannel:

@@ -9,18 +9,13 @@ import sys
 import time
 import numpy as np
 from scipy import optimize
+from scipy.special import ndtri
 
-from coopsense.fusion import (
-    FusionConfig,
-    asymptotic_qf,
-    asymptotic_qm,
-    fused_qf,
-    fused_qm,
-)
+from coopsense.fusion import FusionConfig, fused_qf, fused_qm
 from coopsense.local_sensing import SensingParams, local_pd, local_pf, local_pm, threshold_for_pf
 from coopsense.montecarlo import SimScenario, run_grid
-from coopsense.reporting import ReportChannel, channel_from_snr_db, perfect_channel
-from coopsense.roc import crossover_table, optimal_n
+from coopsense.reporting import ReportChannel, channel_from_snr_db
+from coopsense.roc import RocSweep, crossover_table, optimal_n
 
 from enumeration import enumerate_rule
 
@@ -58,22 +53,21 @@ def test_criterion_1_closed_forms_match_exhaustive_enumeration():
 
 
 def test_criterion_2_asymptotic_floor_limits_and_monotonicity():
+    # the floors are the ones the program prints, RocSweep's; each channel's bit error Q(0.5 / sigma) is pe
     worst = 0.0
     monotone = True
     for k in range(2, 11):
         for pe in (0.02, 0.1, 0.25, 0.4, 0.49):
-            qf_floors, qm_floors = [], []
-            for n in range(1, k + 1):
+            channel = ReportChannel(noise_var_sigma2=(0.5 / -ndtri(pe)) ** 2)
+            sweep = RocSweep.of(k, list(range(1, k + 1)), SENSING, channel, [12.0])
+            qf_floors, qm_floors = sweep.qf_floor.tolist(), sweep.qm_floor.tolist()
+            for n, qf_floor, qm_floor in zip(sweep.ns, qf_floors, qm_floors):
                 cfg = rule(k, n)
-                qf_lim = float(fused_qf(cfg, 1e-12, pe))
-                qm_lim = float(fused_qm(cfg, 1e-12, pe))
-                qf_floor = float(asymptotic_qf(cfg, pe))
-                qm_floor = float(asymptotic_qm(cfg, pe))
+                qf_lim = float(fused_qf(cfg, 1e-12, sweep.pe))
+                qm_lim = float(fused_qm(cfg, 1e-12, sweep.pe))
                 worst = max(worst,
                             abs(qf_lim - qf_floor) / max(qf_floor, 1e-9),
                             abs(qm_lim - qm_floor) / max(qm_floor, 1e-9))
-                qf_floors.append(qf_floor)
-                qm_floors.append(qm_floor)
             monotone &= all(b < a for a, b in zip(qf_floors, qf_floors[1:]))
             monotone &= all(b > a for a, b in zip(qm_floors, qm_floors[1:]))
     report("2 (floor limits within 1e-9, strictly monotone in n)",
@@ -131,7 +125,7 @@ def _lambda_matching_qm(fusion, channel, target, sensing=SENSING):
 
 def test_criterion_4_or_rule_dominates_with_perfect_reports():
     start = time.perf_counter()
-    channel = perfect_channel()
+    channel = ReportChannel(noise_var_sigma2=0.0)
     levels = np.geomspace(1e-6, 0.9, 50)
     ok = True
     worst_gap = -math.inf
@@ -159,7 +153,7 @@ def test_criterion_5_reporting_errors_create_floors_and_crossovers():
         floors = []
         for n in (1, 2, 3, 4):
             qf_tail = float(fused_qf(rule(4, n), local_pf(SENSING, lam_tail), pe))
-            floor = float(asymptotic_qf(rule(4, n), pe))
+            floor = float(fused_qf(rule(4, n), 0.0, pe))
             ok &= math.isclose(qf_tail, floor, rel_tol=1e-9, abs_tol=1e-9)
             floors.append(floor)
         ok &= all(b < a for a, b in zip(floors, floors[1:]))  # distinct per rule
@@ -167,7 +161,7 @@ def test_criterion_5_reporting_errors_create_floors_and_crossovers():
         # entry is a crossing, neither inf (rule 1 dominates) nor rule 2's floor
         # (rule 2 dominates)
         star = crossover_table(4, SENSING, channel).entries[1]
-        floor2 = float(asymptotic_qm(rule(4, 2), pe))
+        floor2 = float(fused_qm(rule(4, 2), 0.0, pe))
         ok &= floor2 < star < 1.0
         # probes bracket the crossover inside both rules' feasible miss range
         probe_below = math.sqrt(floor2 * star)
@@ -189,10 +183,10 @@ def test_criterion_5_reporting_errors_create_floors_and_crossovers():
 
 def test_criterion_6_interval_rule_agrees_with_direct_search():
     start = time.perf_counter()
-    floors = [float(asymptotic_qm(rule(4, n), CH10.pe)) for n in (1, 2, 3, 4)]
+    floors = [float(fused_qm(rule(4, n), 0.0, CH10.pe)) for n in (1, 2, 3, 4)]
     targets = np.geomspace(max(floors) * 1.02, 0.5, 20)
     agree = all(optimal_n(float(t), 4, SENSING, CH10).agree for t in targets)
-    perfect = all(optimal_n(t, 4, SENSING, perfect_channel()).n == 1
+    perfect = all(optimal_n(t, 4, SENSING, ReportChannel(noise_var_sigma2=0.0)).n == 1
                   for t in (1e-6, 1e-3, 0.05, 0.4))
     tiny = ReportChannel(noise_var_sigma2=1.0 / (4.0 * 49.0))  # bit errors ~ 1e-12
     perfect &= all(optimal_n(t, 4, SENSING, tiny).n == 1 for t in (1e-3, 0.05, 0.4))

@@ -11,7 +11,7 @@ from hypothesis import strategies as st
 from coopsense import roc
 from coopsense.fusion import _fused_qm
 from coopsense.local_sensing import SensingParams
-from coopsense.reporting import channel_from_snr_db, perfect_channel
+from coopsense.reporting import ReportChannel, channel_from_snr_db
 
 PROPERTY = settings(max_examples=600, deadline=None, derandomize=True, database=None,
                     suppress_health_check=[HealthCheck.too_slow])
@@ -72,7 +72,7 @@ def hexed(entries):
 @settings(PROPERTY, max_examples=25)
 @given(st.integers(2, 12), st.integers(1, 16), st.floats(-5.0, 30.0), st.one_of(st.floats(-3.0, 20.0), st.none()))
 def test_table_entries_do_not_depend_on_the_batch(k, m, snr_db, snr_r_db):
-    channel = perfect_channel() if snr_r_db is None else channel_from_snr_db(snr_r_db)
+    channel = ReportChannel(noise_var_sigma2=0.0) if snr_r_db is None else channel_from_snr_db(snr_r_db)
     table = roc.crossover_table(k, sensing(m, snr_db), channel)
     assert hexed(table.entries) == hexed(per_pair_entries(k, sensing(m, snr_db), channel))
 
@@ -97,7 +97,7 @@ def exact_gap_signs(k, pair, samples_m, gamma, pe, qs, tie):
 @given(st.integers(2, 12), st.sampled_from([*range(1, 17), 150]), st.floats(-5.0, 30.0),
        st.one_of(st.floats(-3.0, 20.0), st.none()))
 def test_the_table_certifies_only_the_exact_signs(k, m, snr_db, snr_r_db):
-    channel = perfect_channel() if snr_r_db is None else channel_from_snr_db(snr_r_db)
+    channel = ReportChannel(noise_var_sigma2=0.0) if snr_r_db is None else channel_from_snr_db(snr_r_db)
     scans, gap_signs = [], roc._gap_signs
 
     def recorded(*args):

@@ -4,13 +4,10 @@ import math
 import numpy as np
 import pytest
 
-from coopsense.fusion import (
-    FusionConfig,
-    asymptotic_qf,
-    asymptotic_qm,
-    fused_qf,
-    fused_qm,
-)
+from coopsense.fusion import FusionConfig, fused_qf, fused_qm
+from coopsense.local_sensing import SensingParams
+from coopsense.reporting import channel_from_snr_db
+from coopsense.roc import RocSweep
 
 from enumeration import enumerate_rule
 
@@ -93,17 +90,20 @@ class TestOracleEquivalence:
 class TestAsymptoticFloors:
     def test_or_and_rule_closed_forms(self):
         pe = 0.0569
-        assert asymptotic_qf(cfg(4, 1), pe) == pytest.approx(1.0 - (1.0 - pe) ** 4, rel=1e-13)
-        assert asymptotic_qf(cfg(4, 4), pe) == pytest.approx(pe**4, rel=1e-13)
-        assert asymptotic_qm(cfg(4, 1), pe) == pytest.approx(pe**4, rel=1e-13)
-        assert asymptotic_qm(cfg(4, 4), pe) == pytest.approx(1.0 - (1.0 - pe) ** 4, rel=1e-13)
+        assert fused_qf(cfg(4, 1), 0.0, pe) == pytest.approx(1.0 - (1.0 - pe) ** 4, rel=1e-13)
+        assert fused_qf(cfg(4, 4), 0.0, pe) == pytest.approx(pe**4, rel=1e-13)
+        assert fused_qm(cfg(4, 1), 0.0, pe) == pytest.approx(pe**4, rel=1e-13)
+        assert fused_qm(cfg(4, 4), 0.0, pe) == pytest.approx(1.0 - (1.0 - pe) ** 4, rel=1e-13)
 
     def test_exactly_equal_to_fused_at_zero(self):
+        # the floors a RocSweep prints are the fused errors at pf = 0 and pm = 0; pe is 0.0569 and 0.3085
+        sensing = SensingParams(samples_m=6, avg_snr_gamma=100.0)
         for k in (1, 4, 9):
-            for n in range(1, k + 1):
-                for pe in (0.0569, 0.3):
-                    assert float(asymptotic_qf(cfg(k, n), pe)) == float(fused_qf(cfg(k, n), 0.0, pe))
-                    assert float(asymptotic_qm(cfg(k, n), pe)) == float(fused_qm(cfg(k, n), 0.0, pe))
+            for channel in (channel_from_snr_db(10.0), channel_from_snr_db(0.0)):
+                sweep = RocSweep.of(k, list(range(1, k + 1)), sensing, channel, [12.0])
+                for n, qf, qm in zip(sweep.ns, sweep.qf_floor.tolist(), sweep.qm_floor.tolist()):
+                    assert qf == float(fused_qf(cfg(k, n), 0.0, sweep.pe))
+                    assert qm == float(fused_qm(cfg(k, n), 0.0, sweep.pe))
 
     def test_limit_consistency(self):
         for k in (2, 4, 8):
@@ -111,14 +111,14 @@ class TestAsymptoticFloors:
                 for pe in (0.02, 0.1, 0.45):
                     qf = float(fused_qf(cfg(k, n), 1e-12, pe))
                     qm = float(fused_qm(cfg(k, n), 1e-12, pe))
-                    assert qf == pytest.approx(float(asymptotic_qf(cfg(k, n), pe)), rel=1e-9, abs=1e-9)
-                    assert qm == pytest.approx(float(asymptotic_qm(cfg(k, n), pe)), rel=1e-9, abs=1e-9)
+                    assert qf == pytest.approx(float(fused_qf(cfg(k, n), 0.0, pe)), rel=1e-9, abs=1e-9)
+                    assert qm == pytest.approx(float(fused_qm(cfg(k, n), 0.0, pe)), rel=1e-9, abs=1e-9)
 
     def test_floors_strictly_monotone_in_vote_threshold(self):
         for k in range(2, 11):
             for pe in (0.02, 0.1, 0.3, 0.45, 0.49):
-                qf_floors = [float(asymptotic_qf(cfg(k, n), pe)) for n in range(1, k + 1)]
-                qm_floors = [float(asymptotic_qm(cfg(k, n), pe)) for n in range(1, k + 1)]
+                qf_floors = [float(fused_qf(cfg(k, n), 0.0, pe)) for n in range(1, k + 1)]
+                qm_floors = [float(fused_qm(cfg(k, n), 0.0, pe)) for n in range(1, k + 1)]
                 assert all(b < a for a, b in zip(qf_floors, qf_floors[1:]))
                 assert all(b > a for a, b in zip(qm_floors, qm_floors[1:]))
 
@@ -126,8 +126,8 @@ class TestAsymptoticFloors:
         # high reporting SNR floors reach 1e-10 and below; log-domain summation
         # must keep them meaningful rather than collapsing to rounding noise
         pe = 2.8665157187919391167e-7  # Q(5), reporting SNR 20 dB
-        assert asymptotic_qm(cfg(4, 1), pe) == pytest.approx(pe**4, rel=1e-12)
-        assert asymptotic_qf(cfg(4, 4), pe) == pytest.approx(pe**4, rel=1e-12)
+        assert fused_qm(cfg(4, 1), 0.0, pe) == pytest.approx(pe**4, rel=1e-12)
+        assert fused_qf(cfg(4, 4), 0.0, pe) == pytest.approx(pe**4, rel=1e-12)
 
 
 class TestReductions:
@@ -176,8 +176,8 @@ class TestArrayKernels:
                     for j, p in enumerate(ps):
                         assert qf[n - 1, j] == float(fused_qf(cfg(k, n), p, pe))
                         assert qm[n - 1, j] == float(fused_qm(cfg(k, n), p, pe))
-                    assert _fused_qf(k, n, 0.0, pe) == float(asymptotic_qf(cfg(k, n), pe))
-                    assert _fused_qm(k, n, 0.0, pe) == float(asymptotic_qm(cfg(k, n), pe))
+                    assert _fused_qf(k, n, 0.0, pe) == float(fused_qf(cfg(k, n), 0.0, pe))
+                    assert _fused_qm(k, n, 0.0, pe) == float(fused_qm(cfg(k, n), 0.0, pe))
 
     def test_tails_against_mpmath(self):
         from coopsense.fusion import _fused_qf, _fused_qm

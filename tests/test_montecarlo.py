@@ -9,13 +9,13 @@ from coopsense.fusion import FusionConfig, fused_qf, fused_qm
 from coopsense.local_sensing import SensingParams, local_pf, local_pm
 import coopsense.montecarlo as mc
 from coopsense.montecarlo import SimScenario, run_grid
-from coopsense.reporting import channel_from_snr_db, perfect_channel
+from coopsense.reporting import ReportChannel, channel_from_snr_db
 
 
 def scenario(k=4, n=2, m=6, gbar=100.0, snr_r_db=10.0, trials=100_000, seed=321, perfect=False):
     return SimScenario(
         sensing=SensingParams(samples_m=m, avg_snr_gamma=gbar),
-        channel=perfect_channel() if perfect else channel_from_snr_db(snr_r_db),
+        channel=ReportChannel(noise_var_sigma2=0.0) if perfect else channel_from_snr_db(snr_r_db),
         fusion=FusionConfig(num_radios_k=k, vote_threshold_n=n),
         trials=trials,
         seed=seed,
@@ -155,7 +155,7 @@ class TestDistributionalSanity:
 
 
 class TestClosedFormAgreement:
-    @pytest.mark.parametrize("channel", [perfect_channel(), channel_from_snr_db(200.0)],
+    @pytest.mark.parametrize("channel", [ReportChannel(noise_var_sigma2=0.0), channel_from_snr_db(200.0)],
                              ids=["perfect", "snr_r_200dB"])
     def test_single_radio_clean_chain_matches_false_alarm_tail(self, channel):
         base = scenario(k=1, n=1, trials=1_000_000, seed=41)

@@ -6,7 +6,7 @@ import pytest
 
 from coopsense.fusion import FusionConfig, _flip, fused_qf
 from coopsense.mathx import gaussian_q
-from coopsense.reporting import ReportChannel, channel_from_snr_db, perfect_channel
+from coopsense.reporting import ReportChannel, channel_from_snr_db
 
 # mpmath erfc oracle values
 PE_SIGMA2_1 = 0.30853753872598689636     # Q(0.5)
@@ -35,7 +35,7 @@ class TestReportChannel:
         assert float(ReportChannel(noise_var_sigma2=1e-4).pe) == 0.0
 
     def test_perfect_channel_is_exactly_error_free(self):
-        assert float(perfect_channel().pe) == 0.0
+        assert float(ReportChannel(noise_var_sigma2=0.0).pe) == 0.0
 
     def test_error_probability_frozen_values(self):
         assert ReportChannel(1.0).pe == pytest.approx(PE_SIGMA2_1, rel=1e-12)

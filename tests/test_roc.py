@@ -6,10 +6,10 @@ import numpy as np
 import pytest
 
 from coopsense.cli import _lambda_values
-from coopsense.fusion import FusionConfig, _fused_qm, asymptotic_qf, asymptotic_qm, fused_qf, fused_qm
+from coopsense.fusion import FusionConfig, _fused_qm, fused_qf, fused_qm
 from coopsense.local_sensing import SensingParams, _local_pm, local_pf, local_pm, threshold_for_pf
 from coopsense.montecarlo import SimScenario, run_grid
-from coopsense.reporting import ReportChannel, channel_from_snr_db, perfect_channel
+from coopsense.reporting import ReportChannel, channel_from_snr_db
 from coopsense.roc import (
     InfeasibleTargetError,
     RocSweep,
@@ -77,7 +77,8 @@ class TestRocCurve:
             assert len(lambdas) == 80
             check_roc_invariants(lambdas, *columns)
 
-    @pytest.mark.parametrize("channel", [channel_from_snr_db(10.0), perfect_channel()], ids=["noisy", "perfect"])
+    @pytest.mark.parametrize("channel", [channel_from_snr_db(10.0), ReportChannel(noise_var_sigma2=0.0)],
+                             ids=["noisy", "perfect"])
     def test_k64_golden_grids_satisfy_invariants(self, channel):
         # every rule of the K = 64 golden roc sweeps in tests/test_cli.py, at their thresholds
         sensing = SensingParams(samples_m=6, avg_snr_gamma=10.0)
@@ -103,7 +104,7 @@ class TestRocCurve:
 
     def test_single_radio_perfect_channel_reduces_to_local_curve(self):
         grid = pf_spaced_grid(40)
-        for lam, qf, qm in zip(*curve(1, perfect_channel(), grid, k=1)[:3]):
+        for lam, qf, qm in zip(*curve(1, ReportChannel(noise_var_sigma2=0.0), grid, k=1)[:3]):
             assert float(qf) == pytest.approx(float(local_pf(SENSING, lam)), abs=1e-14)
             assert float(qm) == pytest.approx(float(local_pm(SENSING, lam)), abs=1e-14)
 
@@ -126,7 +127,7 @@ class TestRocCurve:
 class TestPerfectChannelDominance:
     def test_or_rule_dominates_at_every_miss_level(self):
         grid = pf_spaced_grid(600, lo=1e-10)
-        curves = [curve(n, perfect_channel(), grid)[1:3] for n in (1, 2, 3, 4)]
+        curves = [curve(n, ReportChannel(noise_var_sigma2=0.0), grid)[1:3] for n in (1, 2, 3, 4)]
         lo = max(qms[0] for _, qms in curves)
         hi = min(qms[-1] for _, qms in curves)
         for qm in np.geomspace(max(lo, 1e-6), hi * 0.999, 50):
@@ -145,7 +146,7 @@ class TestQmStar:
     def test_crossovers_exist_and_grow_with_n(self):
         entries = qm_stars(4, CH10)
         stars = [entries[n] for n in (1, 2, 3)]
-        floors = [float(asymptotic_qm(rule(4, n + 1), CH10.pe)) for n in (1, 2, 3)]
+        floors = [float(fused_qm(rule(4, n + 1), 0.0, CH10.pe)) for n in (1, 2, 3)]
         assert all(floor < s < 1.0 for s, floor in zip(stars, floors))  # crossings: no rule dominates
         assert stars[0] < stars[1] < stars[2]
 
@@ -177,7 +178,7 @@ class TestQmStar:
     def test_no_crossover_in_perfect_channel_limit(self):
         tiny = ReportChannel(noise_var_sigma2=1.0 / (4.0 * 49.0))  # pe = Q(7) ~ 1.3e-12
         assert qm_stars(4, tiny)[1] == math.inf  # rule 1 dominates
-        assert qm_stars(4, perfect_channel())[1] == math.inf
+        assert qm_stars(4, ReportChannel(noise_var_sigma2=0.0))[1] == math.inf
 
     def test_scrambled_channel_reports_tie_as_no_crossover(self):
         huge = ReportChannel(noise_var_sigma2=1e12)  # pe indistinguishable from 0.5
@@ -205,12 +206,12 @@ class TestCrossoverTable:
         # errs, the next rule eventually wins at loose miss levels
         pe = CH10.pe
         for n in (1, 2, 3):
-            assert float(asymptotic_qf(rule(4, n + 1), pe)) < float(asymptotic_qf(rule(4, n), pe))
+            assert float(fused_qf(rule(4, n + 1), 0.0, pe)) < float(fused_qf(rule(4, n), 0.0, pe))
         table = crossover_table(4, SENSING, CH10)
         assert all(math.isfinite(v) for v in table.entries.values())
 
     def test_perfect_channel_table_never_steps_up(self):
-        table = crossover_table(4, SENSING, perfect_channel())
+        table = crossover_table(4, SENSING, ReportChannel(noise_var_sigma2=0.0))
         assert all(v == math.inf for v in table.entries.values())
 
     def test_rejects_a_radio_count_that_is_not_a_positive_integer(self):
@@ -238,7 +239,7 @@ def direct_search_oracle(target, k, channel, lambdas):
 class TestOptimalN:
     def test_perfect_channel_always_picks_or_rule(self):
         for target in (1e-6, 1e-3, 0.05, 0.4):
-            res = optimal_n(target, 4, SENSING, perfect_channel())
+            res = optimal_n(target, 4, SENSING, ReportChannel(noise_var_sigma2=0.0))
             assert res.n == 1
             assert res.agree
         tiny = ReportChannel(noise_var_sigma2=1.0 / (4.0 * 49.0))  # pe ~ 1.3e-12
@@ -252,7 +253,7 @@ class TestOptimalN:
         assert res.agree
 
     def test_interval_rule_agrees_with_direct_search_internally(self):
-        floors = [float(asymptotic_qm(rule(4, n), CH10.pe)) for n in range(1, 5)]
+        floors = [float(fused_qm(rule(4, n), 0.0, CH10.pe)) for n in range(1, 5)]
         targets = np.geomspace(max(floors) * 1.02, 0.5, 20)
         chosen = []
         for target in targets:
@@ -331,7 +332,7 @@ class TestKernelPath:
         lam, qf, qm = _achieved(4, np.array([1, 2, 3, 4]), 6, 100.0, pe, 1.0)
         for i, n in enumerate((1, 2, 3, 4)):
             assert lam[i] == np.inf
-            assert qf[i] == float(asymptotic_qf(rule(4, n), pe))
+            assert qf[i] == float(fused_qf(rule(4, n), 0.0, pe))
             assert qm[i] == float(fused_qm(rule(4, n), 1.0, pe))
 
     def test_inversion_hits_the_target_and_ignores_its_batch(self):
