@@ -13,7 +13,6 @@ from .mathx import Probability, db_to_linear, gaussian_q
 from .montecarlo import SimGrid, SimScenario, run_grid
 from .reporting import ReportChannel, channel_from_snr_db
 from .roc import (
-    CrossoverTable,
     InfeasibleTargetError,
     OptimalRule,
     RocSweep,
@@ -31,7 +30,6 @@ __all__ = [
     "SimScenario",
     "SimGrid",
     "RocSweep",
-    "CrossoverTable",
     "OptimalRule",
     "InfeasibleTargetError",
     "gaussian_q",

@@ -379,14 +379,15 @@ def cmd_optimal_n(cfg: dict) -> int:
     sensing = _sensing(cfg)
     channel = _channel(cfg)
     result = optimal_n(_require(cfg, "target_qm"), k, sensing, channel)
+    entries = sorted(result.crossovers.items())
     lines = [
-        ("target_qm", result.target_qm),
+        ("target_qm", cfg["target_qm"]),
         ("chosen_n", result.n),
         ("interval_n", result.n),
         ("direct_n", result.direct_n),
-        ("agree", result.agree),
-        ("table_monotone", result.table.is_monotone),
-        *((f"qm_star[{n}]", qm) for n, qm in sorted(result.table.entries.items())),
+        ("agree", result.n == result.direct_n),
+        ("table_monotone", all(b >= a for (_, a), (_, b) in zip(entries, entries[1:]))),
+        *((f"qm_star[{n}]", qm) for n, qm in entries),
         ("achieved_lambda", result.achieved_lambda),
         ("achieved_qf", float(result.achieved_qf)),
         ("achieved_qm", float(result.achieved_qm)),

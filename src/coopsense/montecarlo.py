@@ -15,12 +15,12 @@ radio. Chunk tallies are plain integers, so the reduction is exact and
 independent of how many workers executed the chunks. Sweeps over thresholds
 and vote rules reuse the same draws (common random numbers): thresholds only
 enter at the comparison stage. At most 2*workers chunks are in flight at
-once, and each radio's 2M sensing samples per trial are drawn into one
-fixed-size block of rows at a time (about ``_BLOCK_VALUES`` normals), so the
-working set of a chunk is bounded independent of both the number of trials
-and M. Blocking keeps every bit: a Generator fills its output in order, so
-consecutive blocks hold exactly the draws of one whole-chunk call, and each
-trial's energy statistic depends on its own row alone.
+once, and each radio's 2M sensing samples per trial are drawn one block of
+rows at a time, each at most ``_BLOCK_VALUES + 2M`` values: a chunk's working
+set does not grow with the number of trials, but a block holds at least one
+whole row of 2M normals, so it grows with M (ROADMAP item 14). Blocking
+keeps every bit: a Generator fills its output in order, so consecutive blocks
+hold exactly one whole-chunk call's draws, and each trial's statistic uses its row alone.
 
 The energy statistic is numpy's row reduction
 ``((x + amp[:, None]) ** 2).sum(axis=1) + (y * y).sum(axis=1)``. Below 8

@@ -30,7 +30,7 @@ import importlib.util
 import math
 import sys
 from dataclasses import dataclass
-from typing import Dict, NamedTuple
+from typing import NamedTuple
 
 import numpy as np
 from scipy import special as _sp
@@ -42,7 +42,6 @@ from .reporting import ReportChannel
 
 __all__ = [
     "RocSweep",
-    "CrossoverTable",
     "OptimalRule",
     "InfeasibleTargetError",
     "crossover_table",
@@ -70,21 +69,20 @@ def _lazy_module(name: str):
 optimize = _lazy_module("scipy.optimize")
 
 # The threshold solve starts at local false alarm 1e-9 where its local Newton
-# start has no target or does not settle, and its bracket closes within these tolerances:
-# 8.9e-16 of the threshold, while that is a normal float.
+# start has no target or does not settle. Both bracketed solves close within Brent's
+# relative tolerance _RTOL: the threshold solve's while the threshold is a normal float.
 _PF_SWEEP_LO = 1e-9
 _LAMBDA_XTOL = np.finfo(float).tiny
-_LAMBDA_RTOL = 8.9e-16
-# Iteration cap of the threshold solve's local Newton start, and the solve's round cap: the most
-# rounds measured were 78 (K 16, all rules, M 6, 20 dB, a perfect channel, target 1e-280).
+_RTOL = 8.9e-16
+# Iteration cap of the threshold solve's local Newton start, and both solves' round cap: the most
+# rounds measured were 78 for a threshold (K 16, all rules, M 6, 20 dB, a perfect channel, target
+# 1e-280) and 26 for a crossing (300 random tables, K 2-40, M 1-150, -5 to 30 dB).
 _NEWTON_STEPS = 60
-_THRESHOLD_ROUNDS = 100
+_ROUNDS = 100
 # The relative margin by which the gap-sign scan's forward table widens each bound (see _table_signs).
 _MARGIN = 1e-9
-# The crossing solve's tolerance, Brent's 1e-15 + 8.9e-16 q, and its round cap.
+# The crossing solve's tolerance is Brent's, 1e-15 + _RTOL q.
 _CROSSING_XTOL = 1e-15
-_CROSSING_RTOL = 8.9e-16
-_CROSSING_ROUNDS = 200
 # Miss levels per rule pair on the gap-sign scan.
 _CROSSOVER_SCAN_POINTS = 400
 # Rule pairs per gap-sign scan call: bounds the scan's arrays for any K, and
@@ -150,36 +148,15 @@ class RocSweep(NamedTuple):
 
 
 @dataclass(frozen=True)
-class CrossoverTable:
-    """Miss levels at which consecutive vote rules exchange superiority.
-
-    entries[n] is the miss probability above which rule n+1 achieves a lower
-    fused false alarm than rule n. math.inf marks a pair where rule n
-    dominates everywhere (no crossover); a dominated rule n is recorded at
-    the n+1 floor, the lowest miss level where rule n+1 exists at all.
-    """
-
-    num_radios_k: int
-    entries: Dict[int, float]
-
-    @property
-    def is_monotone(self) -> bool:
-        vals = [self.entries[n] for n in sorted(self.entries)]
-        return all(b >= a for a, b in zip(vals, vals[1:]))
-
-
-@dataclass(frozen=True)
 class OptimalRule:
-    """Outcome of the adaptive vote-threshold selection."""
+    """Interval rule's n and achieved point, direct search's n, and the :func:`crossover_table` it read."""
 
-    target_qm: float
-    n: int  # the interval rule's choice
+    n: int
     direct_n: int
-    agree: bool
     achieved_lambda: float  # inf when the miss constraint never binds
     achieved_qf: Probability
     achieved_qm: Probability
-    table: CrossoverTable
+    crossovers: dict[int, float]
 
 
 def _log_beta_density(a, b, x):
@@ -222,7 +199,7 @@ def _lambda_for_qm(k: int, n, samples_m: int, gamma: float, pe: float, target):
     log lam, so a miss that grows as a power of lam near 0 is split rather
     than halved. The root is the threshold after the first step within
     2^-26 of it, or else the bracket's upper end once the bracket is within
-    _LAMBDA_XTOL + _LAMBDA_RTOL hi or a split rounds onto one of its ends.
+    _LAMBDA_XTOL + _RTOL hi or a split rounds onto one of its ends.
     Each element's result depends on its own inputs only.
     """
     n, target = np.broadcast_arrays(n, np.asarray(target, dtype=float))
@@ -264,7 +241,7 @@ def _lambda_for_qm(k: int, n, samples_m: int, gamma: float, pe: float, target):
         x = start[idx]
         lo, hi = np.full(x.shape, _LAMBDA_XTOL), np.full(x.shape, np.finfo(float).max)
         before = moved = np.full(x.shape, np.inf)
-        for _ in range(_THRESHOLD_ROUNDS):
+        for _ in range(_ROUNDS):
             qm, slope = _fused_miss(k, n[idx], samples_m, gamma, pe, x)
             short = qm < target[idx]
             lo, hi = np.where(short, x, lo), np.where(short, hi, x)
@@ -277,7 +254,7 @@ def _lambda_for_qm(k: int, n, samples_m: int, gamma: float, pe: float, target):
                 return lam.reshape(shape)
             newton &= np.abs(np.log(new / x)) <= 0.5 * before
             split = np.sqrt(lo) * np.sqrt(hi)
-            tight = hi - lo <= _LAMBDA_XTOL + _LAMBDA_RTOL * hi
+            tight = hi - lo <= _LAMBDA_XTOL + _RTOL * hi
             closed = ~settled & (tight | ~newton & ((split <= lo) | (split >= hi)))
             lam[idx[closed]] = hi[closed]
             nxt = np.where(newton, new, split)
@@ -286,7 +263,7 @@ def _lambda_for_qm(k: int, n, samples_m: int, gamma: float, pe: float, target):
             idx, x, lo, hi, before, moved = (v[keep] for v in (idx, nxt, lo, hi, before, moved))
             if not idx.size:
                 return lam.reshape(shape)
-    raise RuntimeError(f"the threshold solve did not settle within {_THRESHOLD_ROUNDS} rounds")
+    raise RuntimeError(f"the threshold solve did not settle within {_ROUNDS} rounds")
 
 
 def _qf_gap(k: int, pair, samples_m: int, gamma: float, pe: float, qs):
@@ -333,13 +310,13 @@ def _crossings(k: int, n, samples_m: int, gamma: float, pe: float, lo, hi):
     a, b = np.array(lo, dtype=float), np.array(hi, dtype=float)
     out, idx, x = np.empty(a.shape), np.arange(a.size), 0.5 * (a + b)
     best, least = x.copy(), np.full(a.shape, np.inf)
-    for _ in range(_CROSSING_ROUNDS):
+    for _ in range(_ROUNDS):
         gap, slope = _gap_and_slope(k, np.array([n[idx], n[idx] + 1]), samples_m, gamma, pe, x)
         if np.isnan(gap).any():
             raise ValueError("the qf gap is nan; the crossing solve cannot converge")
         best, least = np.where(np.abs(gap) < least, x, best), np.minimum(np.abs(gap), least)
         a, b = np.where(gap > 0.0, x, a), np.where(gap < 0.0, x, b)
-        tol = _CROSSING_XTOL + _CROSSING_RTOL * x
+        tol = _CROSSING_XTOL + _RTOL * x
         done = (gap == 0.0) | (b - a <= tol)
         with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
             step = -gap / slope
@@ -350,7 +327,7 @@ def _crossings(k: int, n, samples_m: int, gamma: float, pe: float, lo, hi):
         idx, a, b, x, best, least = (v[~done] for v in (idx, a, b, x, best, least))
         if not idx.size:
             return out
-    raise RuntimeError(f"the crossing solve did not settle within {_CROSSING_ROUNDS} rounds")
+    raise RuntimeError(f"the crossing solve did not settle within {_ROUNDS} rounds")
 
 
 def _table_signs(k: int, pair, samples_m: int, gamma: float, pe: float, qs, tie: float):
@@ -470,13 +447,19 @@ def _crossovers(k: int, ns, samples_m: int, gamma: float, pe: float):
     return entries
 
 
-def crossover_table(num_radios_k: int, sensing: SensingParams,
-                    channel: ReportChannel) -> CrossoverTable:
-    """Crossover miss levels for every consecutive rule pair 1..K-1, from one :func:`_crossovers` solve."""
+def crossover_table(num_radios_k: int, sensing: SensingParams, channel: ReportChannel) -> dict[int, float]:
+    """Miss levels at which consecutive vote rules exchange superiority, from one :func:`_crossovers` solve.
+
+    Entry n, for each rule pair 1..K-1, is the miss probability above which
+    rule n+1 achieves a lower fused false alarm than rule n. math.inf marks a
+    pair where rule n dominates everywhere (no crossover); a dominated rule n
+    is recorded at the n+1 floor, the lowest miss level where rule n+1 exists
+    at all.
+    """
     _check_rules(num_radios_k)
     ns = np.arange(1, num_radios_k)
     entries = _crossovers(num_radios_k, ns, sensing.samples_m, sensing.avg_snr_gamma, float(channel.pe))
-    return CrossoverTable(num_radios_k=num_radios_k, entries=dict(zip(ns.tolist(), entries.tolist())))
+    return dict(zip(ns.tolist(), entries.tolist()))
 
 
 def optimal_n(target_qm: float, num_radios_k: int, sensing: SensingParams,
@@ -488,8 +471,8 @@ def optimal_n(target_qm: float, num_radios_k: int, sensing: SensingParams,
     passed, and use n = K beyond the last one. A direct constrained search
     runs alongside: among the rules whose miss floor the target reaches, the
     one with the lowest fused false alarm at the target miss, ties going to
-    the smaller rule. Both answers are reported; the achieved point is the
-    interval rule's. Raises :class:`InfeasibleTargetError` when the target
+    the smaller rule. Both answers are returned, as ``n`` and ``direct_n``;
+    the achieved point is the interval rule's. Raises :class:`InfeasibleTargetError` when the target
     lies below every rule's miss floor.
     """
     target = float(target_qm)
@@ -503,8 +486,8 @@ def optimal_n(target_qm: float, num_radios_k: int, sensing: SensingParams,
     if target < floors[0]:  # rule 1 has the lowest floor
         raise InfeasibleTargetError(target, float(floors[0]))
 
-    table = crossover_table(k, sensing, channel)
-    n = 1 + sum(1 for entry in table.entries.values() if entry < target)
+    crossovers = crossover_table(k, sensing, channel)
+    n = 1 + sum(1 for entry in crossovers.values() if entry < target)
     # one evaluation of the feasible rules, the direct search's candidates, and of
     # the interval rule's n, which may be infeasible when the table is not monotone
     feasible = target >= floors
@@ -517,12 +500,10 @@ def optimal_n(target_qm: float, num_radios_k: int, sensing: SensingParams,
             best = i
     direct_n, i = int(ns[best]), ns.tolist().index(n)
     return OptimalRule(
-        target_qm=target,
         n=n,
         direct_n=direct_n,
-        agree=n == direct_n,
         achieved_lambda=float(lam[i]),
         achieved_qf=Probability(qf[i]),
         achieved_qm=Probability(qm[i]),
-        table=table,
+        crossovers=crossovers,
     )

@@ -160,7 +160,7 @@ def test_criterion_5_reporting_errors_create_floors_and_crossovers():
         # the 1-vs-2 ROC curves must exchange superiority somewhere: the table
         # entry is a crossing, neither inf (rule 1 dominates) nor rule 2's floor
         # (rule 2 dominates)
-        star = crossover_table(4, SENSING, channel).entries[1]
+        star = crossover_table(4, SENSING, channel)[1]
         floor2 = float(fused_qm(rule(4, 2), 0.0, pe))
         ok &= floor2 < star < 1.0
         # probes bracket the crossover inside both rules' feasible miss range
@@ -185,7 +185,7 @@ def test_criterion_6_interval_rule_agrees_with_direct_search():
     start = time.perf_counter()
     floors = [float(fused_qm(rule(4, n), 0.0, CH10.pe)) for n in (1, 2, 3, 4)]
     targets = np.geomspace(max(floors) * 1.02, 0.5, 20)
-    agree = all(optimal_n(float(t), 4, SENSING, CH10).agree for t in targets)
+    agree = all(r.n == r.direct_n for r in (optimal_n(float(t), 4, SENSING, CH10) for t in targets))
     perfect = all(optimal_n(t, 4, SENSING, ReportChannel(noise_var_sigma2=0.0)).n == 1
                   for t in (1e-6, 1e-3, 0.05, 0.4))
     tiny = ReportChannel(noise_var_sigma2=1.0 / (4.0 * 49.0))  # bit errors ~ 1e-12

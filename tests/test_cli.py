@@ -19,7 +19,7 @@ from coopsense.local_sensing import SensingParams, local_pd, local_pf
 from coopsense.mathx import Probability
 from coopsense.montecarlo import SimGrid, SimScenario, run_grid
 from coopsense.reporting import channel_from_snr_db
-from coopsense.roc import RocSweep
+from coopsense.roc import OptimalRule, RocSweep
 
 BASE = ["--k", "4", "--samples-m", "6", "--snr-db", "20", "--report-snr-db", "10"]
 
@@ -468,6 +468,23 @@ class TestOptimalN:
         assert got["table_monotone"] == "yes"
         assert abs(float(got["achieved_qm"]) - 0.05) < 1e-9
         assert "qm_star[1]" in got and "qm_star[3]" in got
+
+    @pytest.mark.parametrize("fmt", ["csv", "json"])
+    def test_derived_lines_report_a_disagreement_and_a_dip(self, monkeypatch, capsys, tmp_path, fmt):
+        # agree and table_monotone are derived from the result: direct_n differs from n, and entry 2 dips
+        result = OptimalRule(n=2, direct_n=3, achieved_lambda=12.0, achieved_qf=Probability(0.1),
+                             achieved_qm=Probability(0.05), crossovers={1: 0.01, 2: 0.001, 3: 0.2})
+        monkeypatch.setattr(cli, "optimal_n", lambda *args: result)
+        out = tmp_path / f"optimal-n.{fmt}"
+        assert main(["optimal-n", *BASE, "--target-qm", "0.05", "--format", fmt, "--out", str(out)]) == 0
+        got = parse_kv(capsys.readouterr().out)
+        assert (got["agree"], got["table_monotone"]) == ("no", "no")
+        if fmt == "csv":
+            saved = dict(line.split(",") for line in out.read_text().splitlines()[1:])
+            assert (saved["agree"], saved["table_monotone"]) == ("no", "no")
+        else:
+            saved = json.loads(out.read_text())
+            assert (saved["agree"], saved["table_monotone"]) == (False, False)
 
     def test_perfect_channel_selects_or_rule(self):
         proc = run_cli("optimal-n", "--k", "4", "--samples-m", "6", "--snr-db", "20",

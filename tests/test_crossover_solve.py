@@ -35,7 +35,7 @@ class TestCrossingSolve:
             self.table()
 
     def test_exhausting_the_round_cap_raises(self, monkeypatch):
-        monkeypatch.setattr(roc, "_CROSSING_ROUNDS", 2)
+        monkeypatch.setattr(roc, "_ROUNDS", 2)
         with pytest.raises(RuntimeError, match="2 rounds"):
             self.table()
 
@@ -48,7 +48,7 @@ class TestCrossingSolve:
             return np.zeros_like(gap) if len(points) == 1 else gap, slope
 
         monkeypatch.setattr(roc, "_gap_and_slope", zero_at_first)
-        entries = list(self.table().entries.values())
+        entries = list(self.table().values())
         assert len(points) == 1 and entries == points[0] and len(entries) == self.K - 1
 
     def test_rounds_stay_few(self, monkeypatch):
@@ -74,7 +74,7 @@ def hexed(entries):
 def test_table_entries_do_not_depend_on_the_batch(k, m, snr_db, snr_r_db):
     channel = ReportChannel(noise_var_sigma2=0.0) if snr_r_db is None else channel_from_snr_db(snr_r_db)
     table = roc.crossover_table(k, sensing(m, snr_db), channel)
-    assert hexed(table.entries) == hexed(per_pair_entries(k, sensing(m, snr_db), channel))
+    assert hexed(table) == hexed(per_pair_entries(k, sensing(m, snr_db), channel))
 
 
 def test_a_table_mixing_crossings_with_both_dominant_rules_matches_its_pairs():
@@ -82,9 +82,9 @@ def test_a_table_mixing_crossings_with_both_dominant_rules_matches_its_pairs():
     table = roc.crossover_table(k, sens, channel)
     pe = float(channel.pe)
     kinds = {"inf" if v == math.inf else "floor" if v == _fused_qm(k, n + 1, 0.0, pe) else "crossing"
-             for n, v in table.entries.items()}
+             for n, v in table.items()}
     assert kinds == {"inf", "floor", "crossing"}
-    assert hexed(table.entries) == hexed(per_pair_entries(k, sens, channel))
+    assert hexed(table) == hexed(per_pair_entries(k, sens, channel))
 
 
 def exact_gap_signs(k, pair, samples_m, gamma, pe, qs, tie):
@@ -108,7 +108,7 @@ def test_the_table_certifies_only_the_exact_signs(k, m, snr_db, snr_r_db):
         patch.setattr(roc, "_gap_signs", recorded)
         table = roc.crossover_table(k, sensing(m, snr_db), channel)
         patch.setattr(roc, "_gap_signs", exact_gap_signs)
-        assert hexed(table.entries) == hexed(roc.crossover_table(k, sensing(m, snr_db), channel).entries)
+        assert hexed(table) == hexed(roc.crossover_table(k, sensing(m, snr_db), channel))
     for args in scans:
         worse, better, open_ = roc._table_signs(*args)
         exact_worse, exact_better = exact_gap_signs(*args)
@@ -145,13 +145,13 @@ def test_scans_are_bounded_and_their_split_changes_no_bit(monkeypatch):
 
     monkeypatch.setattr(roc, "_gap_signs", recorded)
     monkeypatch.setattr(roc, "_fused_qm", tabulated)
-    whole = roc.crossover_table(k, sens, channel).entries
+    whole = roc.crossover_table(k, sens, channel)
     assert sizes and max(sizes) <= roc._SCAN_PAIRS * roc._CROSSOVER_SCAN_POINTS and len(sizes) > 1
     assert max(rules) <= roc._SCAN_PAIRS + 1
     monkeypatch.setattr(roc, "_SCAN_PAIRS", 3)
     sizes.clear()
     rules.clear()
-    assert hexed(roc.crossover_table(k, sens, channel).entries) == hexed(whole)
+    assert hexed(roc.crossover_table(k, sens, channel)) == hexed(whole)
     assert max(sizes) <= 3 * roc._CROSSOVER_SCAN_POINTS
     assert max(rules) <= 3 + 1
 

@@ -139,7 +139,7 @@ class TestPerfectChannelDominance:
 def qm_stars(k, channel):
     """The crossover table's entries for rules 1..k-1: a crossing, inf where rule n dominates, or
     rule n+1's miss floor where that rule does."""
-    return crossover_table(k, SENSING, channel).entries
+    return crossover_table(k, SENSING, channel)
 
 
 class TestQmStar:
@@ -198,8 +198,8 @@ class TestCrossoverTable:
     def test_study_scenario_is_monotone(self):
         for channel in (CH10, CH5):
             table = crossover_table(4, SENSING, channel)
-            assert set(table.entries) == {1, 2, 3}
-            assert table.is_monotone
+            assert set(table) == {1, 2, 3}
+            assert all(table[n + 1] >= table[n] for n in (1, 2))
 
     def test_floor_ordering_produces_crossovers(self):
         # whenever the next rule has a lower false-alarm floor and the channel
@@ -208,11 +208,11 @@ class TestCrossoverTable:
         for n in (1, 2, 3):
             assert float(fused_qf(rule(4, n + 1), 0.0, pe)) < float(fused_qf(rule(4, n), 0.0, pe))
         table = crossover_table(4, SENSING, CH10)
-        assert all(math.isfinite(v) for v in table.entries.values())
+        assert all(math.isfinite(v) for v in table.values())
 
     def test_perfect_channel_table_never_steps_up(self):
         table = crossover_table(4, SENSING, ReportChannel(noise_var_sigma2=0.0))
-        assert all(v == math.inf for v in table.entries.values())
+        assert all(v == math.inf for v in table.values())
 
     def test_rejects_a_radio_count_that_is_not_a_positive_integer(self):
         for bad in (4.5, 0, -3):
@@ -241,16 +241,16 @@ class TestOptimalN:
         for target in (1e-6, 1e-3, 0.05, 0.4):
             res = optimal_n(target, 4, SENSING, ReportChannel(noise_var_sigma2=0.0))
             assert res.n == 1
-            assert res.agree
+            assert res.n == res.direct_n
         tiny = ReportChannel(noise_var_sigma2=1.0 / (4.0 * 49.0))  # pe ~ 1.3e-12
         res = optimal_n(0.01, 4, SENSING, tiny)
-        assert res.n == 1 and res.agree
+        assert res.n == 1 and res.n == res.direct_n
 
     def test_target_just_above_or_rule_floor(self):
         pe = float(CH10.pe)
         res = optimal_n(pe**4 * 1.5, 4, SENSING, CH10)
         assert res.n == 1
-        assert res.agree
+        assert res.n == res.direct_n
 
     def test_interval_rule_agrees_with_direct_search_internally(self):
         floors = [float(fused_qm(rule(4, n), 0.0, CH10.pe)) for n in range(1, 5)]
@@ -258,7 +258,7 @@ class TestOptimalN:
         chosen = []
         for target in targets:
             res = optimal_n(float(target), 4, SENSING, CH10)
-            assert res.agree, f"disagreement at target {target}"
+            assert res.n == res.direct_n, f"disagreement at target {target}"
             chosen.append(res.n)
         # looser miss targets never step the vote threshold back down
         assert all(b >= a for a, b in zip(chosen, chosen[1:]))

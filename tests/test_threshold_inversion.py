@@ -247,7 +247,7 @@ def test_tiny_targets_meet_the_closed_form_threshold_at_m_1(gamma):
 
 def test_exhausting_the_threshold_round_cap_raises(monkeypatch):
     # a target far below the start table: the local Newton start does not settle, and the bracket takes it
-    monkeypatch.setattr(roc, "_THRESHOLD_ROUNDS", 2)
+    monkeypatch.setattr(roc, "_ROUNDS", 2)
     with pytest.raises(RuntimeError, match="2 rounds"):
         roc._lambda_for_qm(2, 1, 1, 1.0, 0.0, 1e-200)
 
@@ -280,7 +280,7 @@ def assert_crossings_balance(table, k, m, gamma, pe):
     """Entries where the bisection scan finds a crossing balance the two rules' qf within TOLERANCES of
     mpmath's crossing, or no worse than the scan's; every other entry is the scan's."""
     want = crossover_entries_oracle(k, m, gamma, pe)
-    for n, q in table.entries.items():
+    for n, q in table.items():
         if math.isfinite(want[n]) and want[n] != _fused_qm(k, n + 1, 0.0, pe):
             error = crossing_error(k, n, m, gamma, pe, q)
             assert error <= TOLERANCES or error <= crossing_error(k, n, m, gamma, pe, want[n]), (n, q, error)
@@ -442,4 +442,4 @@ class TestTieTolerance:
         assert gaps.min() < 0.0 and gaps.min() >= -roc._QF_TIE_TOL
         # so rule n dominates: its crossover table entry is inf
         table = roc.crossover_table(k, SensingParams(samples_m=m, avg_snr_gamma=gamma), channel)
-        assert table.entries[n] == math.inf
+        assert table[n] == math.inf
