@@ -9,7 +9,7 @@ selection of the vote threshold for a target miss-detection probability.
 
 from .fusion import FusionConfig, fused_qf, fused_qm
 from .local_sensing import SensingParams, local_pd, local_pf, local_pm, threshold_for_pf
-from .mathx import Probability, db_to_linear, gaussian_q
+from .mathx import db_to_linear, gaussian_q
 from .montecarlo import SimGrid, SimScenario, run_grid
 from .reporting import ReportChannel, channel_from_snr_db
 from .roc import (
@@ -23,7 +23,6 @@ from .roc import (
 __version__ = "0.1.0"
 
 __all__ = [
-    "Probability",
     "SensingParams",
     "ReportChannel",
     "FusionConfig",

@@ -26,7 +26,7 @@ from typing import Callable, NamedTuple, Optional, Sequence
 import numpy as np
 
 from .fusion import FusionConfig
-from .local_sensing import SensingParams, _threshold_for_pf
+from .local_sensing import SensingParams, threshold_for_pf
 from .mathx import db_to_linear
 from .montecarlo import SimGrid, SimScenario, run_grid
 from .reporting import ReportChannel, channel_from_snr_db
@@ -209,7 +209,7 @@ def _lambda_values(cfg: dict, samples_m: int) -> np.ndarray:
     else:
         if not (0.0 < lo < 1.0 and 0.0 < hi < 1.0):
             raise ConfigError(f"pf_grid: probabilities must lie strictly inside (0, 1), got {cfg[field]!r}")
-        lambdas = np.sort(_threshold_for_pf(samples_m, np.geomspace(lo, hi, count)))
+        lambdas = np.sort(threshold_for_pf(samples_m, np.geomspace(lo, hi, count)))
     if not np.all(lambdas[1:] > lambdas[:-1]):
         raise ConfigError(f"{field}: the grid's thresholds must be distinct, got {cfg[field]!r}")
     return lambdas
@@ -389,8 +389,8 @@ def cmd_optimal_n(cfg: dict) -> int:
         ("table_monotone", all(b >= a for (_, a), (_, b) in zip(entries, entries[1:]))),
         *((f"qm_star[{n}]", qm) for n, qm in entries),
         ("achieved_lambda", result.achieved_lambda),
-        ("achieved_qf", float(result.achieved_qf)),
-        ("achieved_qm", float(result.achieved_qm)),
+        ("achieved_qf", result.achieved_qf),
+        ("achieved_qm", result.achieved_qm),
     ]
     for key, value in lines:
         print(f"{key} = {_fmt(value)}")

@@ -16,7 +16,7 @@ from dataclasses import dataclass
 
 from scipy import special as _sp
 
-from .mathx import Probability, as_probability
+from .reporting import flip_composition
 
 __all__ = [
     "FusionConfig",
@@ -45,14 +45,9 @@ def _check_rules(k: int, ns=(), name: str = "ns") -> None:
         raise ValueError(f"{name} must be integer vote thresholds in [1, {k}], got {ns!r}")
 
 
-def _flip(p, pe):
-    """Probability that a received bit reads b when the radio sends b with probability p."""
-    return p * (1.0 - pe) + (1.0 - p) * pe
-
-
 def _fused_qf(k: int, n, pf, pe):
     """Array kernel of :func:`fused_qf`: Pr{Bin(K, one) >= n} = I_one(n, K-n+1) (DLMF 8.17.5)."""
-    return _sp.betainc(n, k - n + 1, _flip(pf, pe))
+    return _sp.betainc(n, k - n + 1, flip_composition(pf, pe))
 
 
 def _fused_qm(k: int, n, pm, pe):
@@ -61,22 +56,26 @@ def _fused_qm(k: int, n, pm, pe):
     The post-flip zero probability is formed directly, never as 1 - one, so
     tiny miss tails keep their relative accuracy.
     """
-    return _sp.betainc(k - n + 1, n, _flip(pm, pe))
+    return _sp.betainc(k - n + 1, n, flip_composition(pm, pe))
 
 
-def fused_qf(cfg: FusionConfig, pf, pe) -> Probability:
+def fused_qf(cfg: FusionConfig, pf: float, pe: float) -> float:
     """Overall false alarm: Pr{>= n received bits are 1} under the idle band.
 
     Each received bit is 1 with probability pf*(1-pe) + (1-pf)*pe.
     """
-    pf, pe = float(Probability(pf)), float(Probability(pe))
-    return as_probability(_fused_qf(cfg.num_radios_k, cfg.vote_threshold_n, pf, pe))
+    pf, pe = float(pf), float(pe)
+    if not (0.0 <= pf <= 1.0 and 0.0 <= pe <= 1.0):
+        raise ValueError(f"pf and pe must lie in [0, 1], got {pf!r} and {pe!r}")
+    return float(_fused_qf(cfg.num_radios_k, cfg.vote_threshold_n, pf, pe))
 
 
-def fused_qm(cfg: FusionConfig, pm, pe) -> Probability:
+def fused_qm(cfg: FusionConfig, pm: float, pe: float) -> float:
     """Overall miss detection: Pr{<= n-1 received bits are 1} under an active PU.
 
     Each received bit is 1 with probability (1-pm)*(1-pe) + pm*pe.
     """
-    pm, pe = float(Probability(pm)), float(Probability(pe))
-    return as_probability(_fused_qm(cfg.num_radios_k, cfg.vote_threshold_n, pm, pe))
+    pm, pe = float(pm), float(pe)
+    if not (0.0 <= pm <= 1.0 and 0.0 <= pe <= 1.0):
+        raise ValueError(f"pm and pe must lie in [0, 1], got {pm!r} and {pe!r}")
+    return float(_fused_qm(cfg.num_radios_k, cfg.vote_threshold_n, pm, pe))

@@ -1,12 +1,16 @@
 """Closed-form energy detector performance for a single radio in Rayleigh fading.
 
 The detector compares the normalized received energy over ``samples_m``
-complex samples against a threshold lambda, which each function takes as its
-own argument rather than from :class:`SensingParams`. Under the
-noise-only hypothesis the statistic is chi-square with 2M degrees of freedom;
-under an active primary user it is noncentral chi-square whose noncentrality
-is twice the instantaneous SNR, which is exponentially distributed with mean
+complex samples against a threshold lambda. Under the noise-only hypothesis
+the statistic is chi-square with 2M degrees of freedom; under an active
+primary user it is noncentral chi-square whose noncentrality is twice the
+instantaneous SNR, which is exponentially distributed with mean
 ``avg_snr_gamma`` in block Rayleigh fading.
+
+Each function takes M, the average SNR gamma where it needs one, and a
+threshold or false-alarm array (or scalar), checks them once, and returns
+float64 values of the same shape. The threshold lambda = inf is the detector
+that never fires: pf = 0, pm = 1, pd = 0.
 """
 from __future__ import annotations
 
@@ -16,8 +20,6 @@ from dataclasses import dataclass
 import numpy as np
 from scipy import special as _sp
 
-from .mathx import Probability, as_probability
-
 __all__ = [
     "SensingParams",
     "local_pf",
@@ -25,6 +27,22 @@ __all__ = [
     "local_pm",
     "threshold_for_pf",
 ]
+
+
+def _check_detector(samples_m, gamma=1.0) -> None:
+    """Raise ValueError unless M is a positive integer and gamma finite and > 0."""
+    if not isinstance(samples_m, int) or samples_m < 1:
+        raise ValueError(f"samples_m must be a positive integer, got {samples_m!r}")
+    if not (isinstance(gamma, (int, float)) and math.isfinite(gamma) and gamma > 0):
+        raise ValueError(f"avg_snr_gamma must be finite and > 0, got {gamma!r}")
+
+
+def _thresholds(lam) -> np.ndarray:
+    """``lam`` as a float array, every element of which must be >= 0 (inf included, NaN not)."""
+    values = np.asarray(lam, dtype=float)
+    if not (values >= 0.0).all():
+        raise ValueError(f"lam must be >= 0 (inf allowed), got {lam!r}")
+    return values
 
 
 @dataclass(frozen=True)
@@ -40,21 +58,7 @@ class SensingParams:
     avg_snr_gamma: float
 
     def __post_init__(self):
-        if not isinstance(self.samples_m, int) or self.samples_m < 1:
-            raise ValueError(f"samples_m must be a positive integer, got {self.samples_m!r}")
-        g = self.avg_snr_gamma
-        if not (isinstance(g, (int, float)) and math.isfinite(g) and g > 0):
-            raise ValueError(f"avg_snr_gamma must be finite and > 0, got {g!r}")
-
-
-def _local_pf(samples_m: int, lam):
-    """Array kernel of :func:`local_pf`: chi-square(2M) tail at each threshold."""
-    return _sp.gammaincc(samples_m, np.asarray(lam, dtype=float) / 2.0)
-
-
-def _threshold_for_pf(samples_m: int, pf):
-    """Array kernel of :func:`threshold_for_pf`: the inverse of the chi-square(2M) tail."""
-    return 2.0 * _sp.gammainccinv(samples_m, pf)
+        _check_detector(self.samples_m, self.avg_snr_gamma)
 
 
 def _fade(samples_m: int, gamma: float, lam):
@@ -67,7 +71,7 @@ def _fade(samples_m: int, gamma: float, lam):
 
 
 def _local_pm_parts(samples_m: int, gamma: float, lam):
-    """Local miss at each threshold and its slope d pm / d lam.
+    """Local miss at each threshold and its slope d pm / d lam, unchecked.
 
     pd = Q(M-1, lam/2) + fade, so pm = P(M-1, lam/2) - fade, formed directly
     rather than as 1 - pd; for M = 1 it is 1 - exp(-lam / (2 + 2*gamma)),
@@ -85,52 +89,42 @@ def _local_pm_parts(samples_m: int, gamma: float, lam):
     return np.maximum(lower - fade, 0.0), fade / c
 
 
-def _local_pm(samples_m: int, gamma: float, lam):
-    """Array kernel of :func:`local_pm` (see :func:`_local_pm_parts`)."""
-    return _local_pm_parts(samples_m, gamma, lam)[0]
+def local_pf(samples_m: int, lam):
+    """False alarm probability at each threshold: the chi-square(2M) tail."""
+    _check_detector(samples_m)
+    return _sp.gammaincc(samples_m, _thresholds(lam) / 2.0)
 
 
-def _checked(lam) -> float:
-    """The threshold ``lam``, which must be finite and >= 0."""
-    if not (isinstance(lam, (int, float)) and math.isfinite(lam) and lam >= 0):
-        raise ValueError(f"threshold_lambda must be finite and >= 0, got {lam!r}")
-    return lam
-
-
-def local_pf(p: SensingParams, threshold_lambda: float) -> Probability:
-    """False alarm probability: chi-square(2M) tail at the threshold."""
-    return Probability(_local_pf(p.samples_m, _checked(threshold_lambda)))
-
-
-def local_pd(p: SensingParams, threshold_lambda: float) -> Probability:
-    """Detection probability averaged over Rayleigh fading.
+def local_pd(samples_m: int, gamma: float, lam):
+    """Detection probability at each threshold, averaged over Rayleigh fading.
 
     The exponential average of the noncentral chi-square tail has a closed
     form. It is evaluated here through regularized gamma functions, which is
     algebraically identical to the textbook finite-sum expression but does
-    not cancel catastrophically at low average SNR.
+    not cancel catastrophically at low average SNR; rounding past 1 is clipped.
     """
-    m, lam, g = p.samples_m, _checked(threshold_lambda), p.avg_snr_gamma
-    if m == 1:
-        return as_probability(math.exp(-lam / (2.0 + 2.0 * g)))
-    return as_probability(_sp.gammaincc(m - 1, lam / 2.0) + _fade(m, g, lam))
+    _check_detector(samples_m, gamma)
+    lam = _thresholds(lam)
+    if samples_m == 1:
+        return np.exp(-lam / (2.0 + 2.0 * gamma))
+    return np.minimum(_sp.gammaincc(samples_m - 1, lam / 2.0) + _fade(samples_m, gamma, lam), 1.0)
 
 
-def local_pm(p: SensingParams, threshold_lambda: float) -> Probability:
-    """Miss detection probability, the complement of :func:`local_pd`."""
-    return Probability(_local_pm(p.samples_m, p.avg_snr_gamma, _checked(threshold_lambda)))
+def local_pm(samples_m: int, gamma: float, lam):
+    """Miss detection probability at each threshold, the complement of :func:`local_pd`."""
+    _check_detector(samples_m, gamma)
+    return _local_pm_parts(samples_m, gamma, _thresholds(lam))[0]
 
 
-def threshold_for_pf(target_pf: float, samples_m: int) -> float:
-    """Threshold achieving a given false alarm probability.
+def threshold_for_pf(samples_m: int, pf):
+    """Threshold achieving each false alarm probability in ``pf``.
 
     Inverts the chi-square tail; the round trip through :func:`local_pf`
     agrees with the target to better than 1e-9 relative. Endpoints are
     rejected because the threshold would be degenerate.
     """
-    if not isinstance(samples_m, int) or samples_m < 1:
-        raise ValueError(f"samples_m must be a positive integer, got {samples_m!r}")
-    q = float(target_pf)
-    if not 0.0 < q < 1.0:
-        raise ValueError(f"target_pf must lie strictly inside (0, 1), got {target_pf!r}")
-    return float(_threshold_for_pf(samples_m, q))
+    _check_detector(samples_m)
+    q = np.asarray(pf, dtype=float)
+    if not ((q > 0.0) & (q < 1.0)).all():
+        raise ValueError(f"pf must lie strictly inside (0, 1), got {pf!r}")
+    return 2.0 * _sp.gammainccinv(samples_m, q)

@@ -35,10 +35,9 @@ from typing import NamedTuple
 import numpy as np
 from scipy import special as _sp
 
-from .fusion import _check_rules, _flip, _fused_qf, _fused_qm
-from .local_sensing import SensingParams, _local_pf, _local_pm, _local_pm_parts, _threshold_for_pf
-from .mathx import Probability
-from .reporting import ReportChannel
+from .fusion import _check_rules, _fused_qf, _fused_qm
+from .local_sensing import SensingParams, _local_pm_parts, local_pf, local_pm, threshold_for_pf
+from .reporting import ReportChannel, flip_composition
 
 __all__ = [
     "RocSweep",
@@ -137,9 +136,9 @@ class RocSweep(NamedTuple):
         _check_rules(k, ns)
         if not np.all((lambdas >= 0) & (lambdas < np.inf)):
             raise ValueError("lambdas must be finite and >= 0")
-        m, pe, rules = sensing.samples_m, float(channel.pe), np.array(ns)
-        return cls(k, ns, pe, lambdas, _local_pf(m, lambdas),
-                   _local_pm(m, sensing.avg_snr_gamma, lambdas),
+        m, pe, rules = sensing.samples_m, channel.pe, np.array(ns)
+        return cls(k, ns, pe, lambdas, local_pf(m, lambdas),
+                   local_pm(m, sensing.avg_snr_gamma, lambdas),
                    _fused_qf(k, rules, 0.0, pe), _fused_qm(k, rules, 0.0, pe))
 
     def fused(self, n: int, rows: slice) -> tuple[np.ndarray, np.ndarray]:
@@ -154,8 +153,8 @@ class OptimalRule:
     n: int
     direct_n: int
     achieved_lambda: float  # inf when the miss constraint never binds
-    achieved_qf: Probability
-    achieved_qm: Probability
+    achieved_qf: float
+    achieved_qm: float
     crossovers: dict[int, float]
 
 
@@ -167,13 +166,13 @@ def _log_beta_density(a, b, x):
 def _fused_miss(k: int, n, samples_m: int, gamma: float, pe: float, lam):
     """Fused miss of rules n at thresholds lam, and its slope d qm / d lam."""
     pm, slope = _local_pm_parts(samples_m, gamma, lam)
-    density = np.exp(_log_beta_density(k - n + 1.0, n, _flip(pm, pe)))
+    density = np.exp(_log_beta_density(k - n + 1.0, n, flip_composition(pm, pe)))
     return _fused_qm(k, n, pm, pe), density * (1.0 - 2.0 * pe) * slope
 
 
 def _log_thresholds(samples_m: int, points: int):
     """log lam on a forward grid of 24 e-folds around Q^-1(M, 1e-9), where the threshold solve starts."""
-    return math.log(_threshold_for_pf(samples_m, _PF_SWEEP_LO)) + np.linspace(-16.0, 8.0, points)
+    return math.log(threshold_for_pf(samples_m, _PF_SWEEP_LO)) + np.linspace(-16.0, 8.0, points)
 
 
 def _lambda_for_qm(k: int, n, samples_m: int, gamma: float, pe: float, target):
@@ -208,7 +207,7 @@ def _lambda_for_qm(k: int, n, samples_m: int, gamma: float, pe: float, target):
     lam, idx = np.full(target.shape, np.inf), np.flatnonzero(target < sup)
     if not idx.size:
         return lam.reshape(shape)
-    start = np.full(target.shape, _threshold_for_pf(samples_m, _PF_SWEEP_LO))
+    start = np.full(target.shape, threshold_for_pf(samples_m, _PF_SWEEP_LO))
     # no target is inside the span of the scrambled channel, whose miss does not depend on lam
     inner = np.flatnonzero((target > floor) & (target < sup))
     local = (_sp.betaincinv(k - n[inner] + 1, n[inner], target[inner]) - pe) / (1.0 - 2.0 * pe)
@@ -220,7 +219,7 @@ def _lambda_for_qm(k: int, n, samples_m: int, gamma: float, pe: float, target):
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
         # start from a log-spaced table of the miss around the false-alarm sweep's end
         grid = _log_thresholds(samples_m, 97)
-        table = _local_pm(samples_m, gamma, np.exp(grid))
+        table = local_pm(samples_m, gamma, np.exp(grid))
         u = np.empty(inner.size)
         for side, curve in ((~right, np.log(table)), (right, -np.log1p(-table))):
             u[side] = np.interp(goal[side], np.maximum.accumulate(np.clip(curve, -745.0, 745.0)), grid)
@@ -269,7 +268,7 @@ def _lambda_for_qm(k: int, n, samples_m: int, gamma: float, pe: float, target):
 def _qf_gap(k: int, pair, samples_m: int, gamma: float, pe: float, qs):
     """qf[n+1] - qf[n] of the rule pairs (n, n+1) stacked in ``pair``, each rule at its own threshold for
     miss level qs."""
-    qf = _fused_qf(k, pair, _local_pf(samples_m, _lambda_for_qm(k, pair, samples_m, gamma, pe, qs)), pe)
+    qf = _fused_qf(k, pair, local_pf(samples_m, _lambda_for_qm(k, pair, samples_m, gamma, pe, qs)), pe)
     return qf[1] - qf[0]
 
 
@@ -283,15 +282,15 @@ def _roc_slope(k: int, n, samples_m: int, gamma: float, pe: float, lam):
     density times (1 - 2 pe) times the local slope. The (1 - 2 pe) factors cancel; the rest is formed in logs."""
     pm, dpm = _local_pm_parts(samples_m, gamma, lam)
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-        return -np.exp(_log_beta_density(n, k - n + 1.0, _flip(_local_pf(samples_m, lam), pe))
+        return -np.exp(_log_beta_density(n, k - n + 1.0, flip_composition(local_pf(samples_m, lam), pe))
                        + _log_pf_slope(samples_m, lam)
-                       - _log_beta_density(k - n + 1.0, n, _flip(pm, pe)) - np.log(dpm))
+                       - _log_beta_density(k - n + 1.0, n, flip_composition(pm, pe)) - np.log(dpm))
 
 
 def _gap_and_slope(k: int, pair, samples_m: int, gamma: float, pe: float, qs):
     """:func:`_qf_gap` at miss levels qs and its slope d gap / dq = r(n+1) - r(n), r the :func:`_roc_slope`."""
     lam = _lambda_for_qm(k, pair, samples_m, gamma, pe, qs)
-    qf, slope = _fused_qf(k, pair, _local_pf(samples_m, lam), pe), _roc_slope(k, pair, samples_m, gamma, pe, lam)
+    qf, slope = _fused_qf(k, pair, local_pf(samples_m, lam), pe), _roc_slope(k, pair, samples_m, gamma, pe, lam)
     return qf[1] - qf[0], slope[1] - slope[0]
 
 
@@ -360,8 +359,8 @@ def _table_signs(k: int, pair, samples_m: int, gamma: float, pe: float, qs, tie:
     row = row.reshape(pair.shape)
     lam = np.exp(_log_thresholds(samples_m, 1000))
     # the table ends at lam = 0 and lam = inf, between which every threshold lies
-    pm = np.concatenate(([0.0], _local_pm(samples_m, gamma, lam), [1.0]))
-    pf = np.concatenate(([1.0], _local_pf(samples_m, lam), [0.0]))
+    pm = np.concatenate(([0.0], local_pm(samples_m, gamma, lam), [1.0]))
+    pf = np.concatenate(([1.0], local_pf(samples_m, lam), [0.0]))
     qm = np.maximum.accumulate(_fused_qm(k, rules[:, None], pm, pe), axis=1)
     qf = np.minimum.accumulate(_fused_qf(k, rules[:, None], pf, pe), axis=1)
     levels, top, bottom = np.broadcast_to(qs, pair.shape), np.empty(pair.shape), np.empty(pair.shape)
@@ -400,8 +399,8 @@ def _achieved(k: int, ns, samples_m: int, gamma: float, pe: float, target: float
     rule's floor and qm its loose-threshold limit.
     """
     lam = _lambda_for_qm(k, ns, samples_m, gamma, pe, target)
-    return (lam, _fused_qf(k, ns, _local_pf(samples_m, lam), pe),
-            _fused_qm(k, ns, _local_pm(samples_m, gamma, lam), pe))
+    return (lam, _fused_qf(k, ns, local_pf(samples_m, lam), pe),
+            _fused_qm(k, ns, local_pm(samples_m, gamma, lam), pe))
 
 
 def _crossovers(k: int, ns, samples_m: int, gamma: float, pe: float):
@@ -458,7 +457,7 @@ def crossover_table(num_radios_k: int, sensing: SensingParams, channel: ReportCh
     """
     _check_rules(num_radios_k)
     ns = np.arange(1, num_radios_k)
-    entries = _crossovers(num_radios_k, ns, sensing.samples_m, sensing.avg_snr_gamma, float(channel.pe))
+    entries = _crossovers(num_radios_k, ns, sensing.samples_m, sensing.avg_snr_gamma, channel.pe)
     return dict(zip(ns.tolist(), entries.tolist()))
 
 
@@ -480,7 +479,7 @@ def optimal_n(target_qm: float, num_radios_k: int, sensing: SensingParams,
         raise ValueError(f"target_qm must lie strictly inside (0, 1), got {target_qm!r}")
     k = num_radios_k
     _check_rules(k)
-    m, g, pe = sensing.samples_m, sensing.avg_snr_gamma, float(channel.pe)
+    m, g, pe = sensing.samples_m, sensing.avg_snr_gamma, channel.pe
     ns = np.arange(1, k + 1)
     floors = _fused_qm(k, ns, 0.0, pe)
     if target < floors[0]:  # rule 1 has the lowest floor
@@ -503,7 +502,7 @@ def optimal_n(target_qm: float, num_radios_k: int, sensing: SensingParams,
         n=n,
         direct_n=direct_n,
         achieved_lambda=float(lam[i]),
-        achieved_qf=Probability(qf[i]),
-        achieved_qm=Probability(qm[i]),
+        achieved_qf=float(qf[i]),
+        achieved_qm=float(qm[i]),
         crossovers=crossovers,
     )

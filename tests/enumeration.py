@@ -2,12 +2,11 @@
 import math
 
 from coopsense.fusion import FusionConfig
-from coopsense.mathx import Probability, as_probability
 
 ENUMERATION_MAX_RADIOS = 20
 
 
-def enumerate_rule(cfg: FusionConfig, p_assert, pe) -> Probability:
+def enumerate_rule(cfg: FusionConfig, p_assert, pe) -> float:
     """Exhaustive-enumeration oracle for the vote probabilities.
 
     Walks every possible received bit vector, weighting each by its exact
@@ -19,8 +18,9 @@ def enumerate_rule(cfg: FusionConfig, p_assert, pe) -> Probability:
     k, n = cfg.num_radios_k, cfg.vote_threshold_n
     if k > ENUMERATION_MAX_RADIOS:
         raise ValueError(f"exhaustive enumeration is limited to K <= {ENUMERATION_MAX_RADIOS}, got {k}")
-    p = float(Probability(p_assert))
-    e = float(Probability(pe))
+    p, e = float(p_assert), float(pe)
+    if not (0.0 <= p <= 1.0 and 0.0 <= e <= 1.0):
+        raise ValueError(f"p_assert and pe must lie in [0, 1], got {p_assert!r} and {pe!r}")
     one = p * (1.0 - e) + (1.0 - p) * e
     zero = (1.0 - p) * (1.0 - e) + p * e
     total = math.fsum(
@@ -28,4 +28,4 @@ def enumerate_rule(cfg: FusionConfig, p_assert, pe) -> Probability:
         for mask in range(1 << k)
         if mask.bit_count() >= n
     )
-    return as_probability(total)
+    return total

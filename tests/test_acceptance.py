@@ -20,7 +20,8 @@ from coopsense.roc import RocSweep, crossover_table, optimal_n
 from enumeration import enumerate_rule
 
 # study scenario used throughout: 4 radios, 6 samples, 20 dB average SNR
-SENSING = SensingParams(samples_m=6, avg_snr_gamma=100.0)
+M, GAMMA = 6, 100.0
+SENSING = SensingParams(samples_m=M, avg_snr_gamma=GAMMA)
 CH10 = channel_from_snr_db(10.0)
 CH5 = channel_from_snr_db(5.0)
 
@@ -77,7 +78,7 @@ def test_criterion_2_asymptotic_floor_limits_and_monotonicity():
 
 def test_criterion_3_monte_carlo_validates_the_chain_and_the_relabeling():
     start = time.perf_counter()
-    lambdas = sorted(threshold_for_pf(q, 6) for q in (0.9, 0.5, 0.2, 0.05, 0.01))
+    lambdas = sorted(threshold_for_pf(6, q) for q in (0.9, 0.5, 0.2, 0.05, 0.01))
     n_values = [1, 2, 3, 4]  # 4 radios bound the vote sweep at 4 rules
     base = SimScenario(
         sensing=SENSING,
@@ -91,7 +92,7 @@ def test_criterion_3_monte_carlo_validates_the_chain_and_the_relabeling():
     max_z = 0.0
     min_z_mislabeled = math.inf
     for li, lam in enumerate(lambdas):
-        pf, pm, pd = float(local_pf(SENSING, lam)), float(local_pm(SENSING, lam)), float(local_pd(SENSING, lam))
+        pf, pm, pd = float(local_pf(M, lam)), float(local_pm(M, GAMMA, lam)), float(local_pd(M, GAMMA, lam))
         for ni, n in enumerate(n_values):
             cfg = rule(4, n)
             qf_hat, qm_hat = float(grid.qf_hat[ni, li]), float(grid.qm_hat[ni, li])
@@ -114,9 +115,9 @@ def test_criterion_3_monte_carlo_validates_the_chain_and_the_relabeling():
            f"max |z| = {max_z:.2f}, mislabeled min |z| = {min_z_mislabeled:.1f}, {elapsed:.0f}s")
 
 
-def _lambda_matching_qm(fusion, channel, target, sensing=SENSING):
+def _lambda_matching_qm(fusion, channel, target):
     pe = channel.pe
-    f = lambda lam: float(fused_qm(fusion, local_pm(sensing, lam), pe)) - target
+    f = lambda lam: float(fused_qm(fusion, local_pm(M, GAMMA, lam), pe)) - target
     hi = 100.0
     while f(hi) < 0.0:
         hi *= 2.0
@@ -133,7 +134,7 @@ def test_criterion_4_or_rule_dominates_with_perfect_reports():
         qf_by_rule = []
         for n in (1, 2, 3, 4):
             lam = _lambda_matching_qm(rule(4, n), channel, float(qm))
-            qf_by_rule.append(float(fused_qf(rule(4, n), local_pf(SENSING, lam), channel.pe)))
+            qf_by_rule.append(float(fused_qf(rule(4, n), local_pf(M, lam), channel.pe)))
         gap = qf_by_rule[0] - min(qf_by_rule)
         worst_gap = max(worst_gap, gap)
         ok &= qf_by_rule[0] <= min(qf_by_rule) + 1e-12
@@ -149,10 +150,10 @@ def test_criterion_5_reporting_errors_create_floors_and_crossovers():
     details = []
     for channel, tag in ((CH5, "5 dB"), (CH10, "10 dB")):
         pe = channel.pe
-        lam_tail = threshold_for_pf(1e-12, 6)
+        lam_tail = threshold_for_pf(6, 1e-12)
         floors = []
         for n in (1, 2, 3, 4):
-            qf_tail = float(fused_qf(rule(4, n), local_pf(SENSING, lam_tail), pe))
+            qf_tail = float(fused_qf(rule(4, n), local_pf(M, lam_tail), pe))
             floor = float(fused_qf(rule(4, n), 0.0, pe))
             ok &= math.isclose(qf_tail, floor, rel_tol=1e-9, abs_tol=1e-9)
             floors.append(floor)
@@ -171,8 +172,8 @@ def test_criterion_5_reporting_errors_create_floors_and_crossovers():
             lam1 = _lambda_matching_qm(rule(4, 1), channel, probe)
             lam2 = _lambda_matching_qm(rule(4, 2), channel, probe)
             gaps.append(
-                float(fused_qf(rule(4, 2), local_pf(SENSING, lam2), pe))
-                - float(fused_qf(rule(4, 1), local_pf(SENSING, lam1), pe)))
+                float(fused_qf(rule(4, 2), local_pf(M, lam2), pe))
+                - float(fused_qf(rule(4, 1), local_pf(M, lam1), pe)))
         ok &= gaps[0] > 0.0 > gaps[1]  # sign change of the false-alarm gap
         details.append(f"{tag}: qm* = {star:.4g}")
     elapsed = time.perf_counter() - start

@@ -16,7 +16,6 @@ from coopsense import cli
 from coopsense.cli import _FIELDS, ROC_COLUMNS, SIM_COLUMNS, _build_parser, _fmt, _json_value, main
 from coopsense.fusion import FusionConfig, fused_qf, fused_qm
 from coopsense.local_sensing import SensingParams, local_pd, local_pf
-from coopsense.mathx import Probability
 from coopsense.montecarlo import SimGrid, SimScenario, run_grid
 from coopsense.reporting import channel_from_snr_db
 from coopsense.roc import OptimalRule, RocSweep
@@ -50,15 +49,14 @@ class TestAnalyze:
         proc = run_cli("analyze", *BASE, "--n", "2", "--lambda", "12")
         assert proc.returncode == 0
         got = parse_kv(proc.stdout)
-        p = SensingParams(samples_m=6, avg_snr_gamma=100.0)
         ch = channel_from_snr_db(10.0)
         cfg = FusionConfig(num_radios_k=4, vote_threshold_n=2)
         expected = {
-            "pf_local": local_pf(p, 12.0),
-            "pm_local": Probability(1.0 - local_pd(p, 12.0)),
+            "pf_local": local_pf(6, 12.0),
+            "pm_local": 1.0 - local_pd(6, 100.0, 12.0),
             "pe": ch.pe,
-            "qf": fused_qf(cfg, local_pf(p, 12.0), ch.pe),
-            "qm": fused_qm(cfg, Probability(1.0 - local_pd(p, 12.0)), ch.pe),
+            "qf": fused_qf(cfg, local_pf(6, 12.0), ch.pe),
+            "qm": fused_qm(cfg, 1.0 - local_pd(6, 100.0, 12.0), ch.pe),
             "qf_floor": fused_qf(cfg, 0.0, ch.pe),
             "qm_floor": fused_qm(cfg, 0.0, ch.pe),
         }
@@ -139,11 +137,10 @@ class TestRoc:
                        "--out", str(out)).returncode == 0
         ch = channel_from_snr_db(10.0)
         cfg = FusionConfig(num_radios_k=4, vote_threshold_n=2)
-        p = SensingParams(samples_m=6, avg_snr_gamma=100.0)
         for row in read_csv(out):
             lam = float(row["lambda"])
-            assert float(row["qf"]) == pytest.approx(float(fused_qf(cfg, local_pf(p, lam), ch.pe)), abs=1e-9)
-            qm = fused_qm(cfg, Probability(1.0 - local_pd(p, lam)), ch.pe)
+            assert float(row["qf"]) == pytest.approx(float(fused_qf(cfg, local_pf(6, lam), ch.pe)), abs=1e-9)
+            qm = fused_qm(cfg, 1.0 - local_pd(6, 100.0, lam), ch.pe)
             assert float(row["qm"]) == pytest.approx(float(qm), abs=1e-9)
 
     def test_json_format_matches_csv_values(self, tmp_path):
@@ -472,8 +469,8 @@ class TestOptimalN:
     @pytest.mark.parametrize("fmt", ["csv", "json"])
     def test_derived_lines_report_a_disagreement_and_a_dip(self, monkeypatch, capsys, tmp_path, fmt):
         # agree and table_monotone are derived from the result: direct_n differs from n, and entry 2 dips
-        result = OptimalRule(n=2, direct_n=3, achieved_lambda=12.0, achieved_qf=Probability(0.1),
-                             achieved_qm=Probability(0.05), crossovers={1: 0.01, 2: 0.001, 3: 0.2})
+        result = OptimalRule(n=2, direct_n=3, achieved_lambda=12.0, achieved_qf=0.1,
+                             achieved_qm=0.05, crossovers={1: 0.01, 2: 0.001, 3: 0.2})
         monkeypatch.setattr(cli, "optimal_n", lambda *args: result)
         out = tmp_path / f"optimal-n.{fmt}"
         assert main(["optimal-n", *BASE, "--target-qm", "0.05", "--format", fmt, "--out", str(out)]) == 0

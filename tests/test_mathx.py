@@ -2,15 +2,21 @@
 import math
 
 import pytest
+from scipy import special
 
-from coopsense.local_sensing import _local_pf
-from coopsense.mathx import Probability, as_probability, db_to_linear, gaussian_q
+from coopsense.local_sensing import local_pf
+from coopsense.mathx import db_to_linear, gaussian_q
 from coopsense.roc import _log_beta_density
 
 
 def reg_upper_incomplete_gamma(a, x):
-    """Q(a, x) through the local false alarm kernel, the chi-square(2a) tail at 2x (exact doubling)."""
-    return float(_local_pf(a, 2.0 * x))
+    """Q(a, x) through the local false alarm, the chi-square(2a) tail at 2x (exact doubling).
+
+    A shape that is no sample count, such as 0.5, goes straight to the scipy function local_pf evaluates.
+    """
+    if float(a).is_integer():
+        return float(local_pf(int(a), 2.0 * x))
+    return float(special.gammaincc(a, x))
 
 
 def log_binomial(k, i):
@@ -48,25 +54,7 @@ LOGC_ORACLE = [
 ]
 
 
-class TestProbability:
-    def test_accepts_unit_interval(self):
-        assert float(Probability(0.0)) == 0.0
-        assert float(Probability(1.0)) == 1.0
-        assert float(Probability(0.25)) == 0.25
-
-    @pytest.mark.parametrize("bad", [-0.1, 1.1, float("nan"), float("inf"), -1e-300 * 2])
-    def test_rejects_out_of_range(self, bad):
-        with pytest.raises(ValueError):
-            Probability(bad)
-
-    def test_as_probability_clamps_dust_only(self):
-        assert float(as_probability(1.0 + 1e-12)) == 1.0
-        assert float(as_probability(-1e-12)) == 0.0
-        with pytest.raises(ValueError):
-            as_probability(1.0 + 1e-6)
-        with pytest.raises(ValueError):
-            as_probability(-1e-6)
-
+class TestDbToLinear:
     def test_db_to_linear(self):
         assert db_to_linear(20.0) == pytest.approx(100.0, rel=1e-15)
         assert db_to_linear(0.0) == 1.0

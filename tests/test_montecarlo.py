@@ -161,7 +161,7 @@ class TestClosedFormAgreement:
         base = scenario(k=1, n=1, trials=1_000_000, seed=41)
         res = run_sim(SimScenario(sensing=base.sensing, channel=channel, fusion=base.fusion,
                                   trials=base.trials, seed=base.seed), lam=12.0)
-        pf = float(local_pf(base.sensing, 12.0))
+        pf = float(local_pf(base.sensing.samples_m, 12.0))
         assert within_4se(float(res.qf_hat), pf, res.qf_stderr)
 
     @pytest.mark.parametrize("m,lam,gbar,seed", [
@@ -173,8 +173,7 @@ class TestClosedFormAgreement:
     ])
     def test_local_rates_match_closed_forms(self, m, lam, gbar, seed):
         res = run_sim(scenario(k=1, n=1, m=m, gbar=gbar, trials=1_000_000, seed=seed), lam)
-        p = SensingParams(samples_m=m, avg_snr_gamma=gbar)
-        pf, pm = float(local_pf(p, lam)), float(local_pm(p, lam))
+        pf, pm = float(local_pf(m, lam)), float(local_pm(m, gbar, lam))
         se_f = math.sqrt(pf * (1 - pf) / res.trials_h0)
         se_m = math.sqrt(pm * (1 - pm) / res.trials_h1)
         assert abs(float(res.pf_hat) - pf) <= 4.0 * max(se_f, 1e-12)
@@ -182,11 +181,10 @@ class TestClosedFormAgreement:
 
     def test_fused_point_matches_closed_forms(self):
         res = run_sim(scenario(trials=300_000, seed=51))
-        p = SensingParams(samples_m=6, avg_snr_gamma=100.0)
         cfg = FusionConfig(num_radios_k=4, vote_threshold_n=2)
         pe = channel_from_snr_db(10.0).pe
-        qf = float(fused_qf(cfg, local_pf(p, 12.0), pe))
-        qm = float(fused_qm(cfg, local_pm(p, 12.0), pe))
+        qf = float(fused_qf(cfg, local_pf(6, 12.0), pe))
+        qm = float(fused_qm(cfg, local_pm(6, 100.0, 12.0), pe))
         assert within_4se(float(res.qf_hat), qf, res.qf_stderr)
         assert within_4se(float(res.qm_hat), qm, res.qm_stderr)
 
@@ -205,7 +203,7 @@ class TestCommonRandomNumbers:
         from coopsense.local_sensing import threshold_for_pf
         from coopsense.roc import RocSweep
 
-        lambdas = sorted(threshold_for_pf(float(q), 6) for q in np.geomspace(1e-4, 0.95, 20))
+        lambdas = sorted(threshold_for_pf(6, float(q)) for q in np.geomspace(1e-4, 0.95, 20))
         base = scenario(trials=200_000, seed=87)
         grid = run_grid(base, lambdas, [2])
         curve = RocSweep.of(4, [2], base.sensing, base.channel, np.array(lambdas)).fused(2, slice(None))

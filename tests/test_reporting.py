@@ -4,9 +4,9 @@ import math
 import numpy as np
 import pytest
 
-from coopsense.fusion import FusionConfig, _flip, fused_qf
+from coopsense.fusion import FusionConfig, fused_qf
 from coopsense.mathx import gaussian_q
-from coopsense.reporting import ReportChannel, channel_from_snr_db
+from coopsense.reporting import ReportChannel, channel_from_snr_db, flip_composition
 
 # mpmath erfc oracle values
 PE_SIGMA2_1 = 0.30853753872598689636     # Q(0.5)
@@ -72,26 +72,26 @@ class TestChannelFromSnrDb:
 
 
 class TestFlipComposition:
-    """The probability of a received 1 when the radio asserts 1 with probability p, as fusion forms it."""
+    """The probability of a received 1 when the radio asserts 1 with probability p, as fusion and roc form it."""
 
     def test_trivial_points(self):
-        assert _flip(0.3, 0.0) == pytest.approx(0.3, abs=1e-15)
+        assert flip_composition(0.3, 0.0) == pytest.approx(0.3, abs=1e-15)
         for pe in (0.0, 0.1, 0.5):
-            assert _flip(0.5, pe) == pytest.approx(0.5, abs=1e-15)
-        assert _flip(0.1, 0.05) == pytest.approx(0.14, abs=1e-15)
+            assert flip_composition(0.5, pe) == pytest.approx(0.5, abs=1e-15)
+        assert flip_composition(0.1, 0.05) == pytest.approx(0.14, abs=1e-15)
 
     def test_affine_with_contracting_slope(self):
         for pe in (0.0, 0.02, 0.2, 0.49):
             slope = 1.0 - 2.0 * pe
             for p, q in ((0.0, 1.0), (0.1, 0.7), (0.25, 0.4)):
-                lhs = _flip(q, pe) - _flip(p, pe)
+                lhs = flip_composition(q, pe) - flip_composition(p, pe)
                 assert lhs == pytest.approx(slope * (q - p), abs=1e-14)
 
     def test_repeated_flips_contract_toward_half(self):
         for p in (0.0, 0.1, 0.3, 0.9):
             for pe in (0.05, 0.2, 0.45):
-                once = _flip(p, pe)
-                twice = _flip(once, pe)
+                once = flip_composition(p, pe)
+                twice = flip_composition(once, pe)
                 assert abs(twice - 0.5) <= abs(once - 0.5) + 1e-15
                 assert abs(once - 0.5) <= abs(p - 0.5) + 1e-15
 

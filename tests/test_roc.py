@@ -7,7 +7,7 @@ import pytest
 
 from coopsense.cli import _lambda_values
 from coopsense.fusion import FusionConfig, _fused_qm, fused_qf, fused_qm
-from coopsense.local_sensing import SensingParams, _local_pm, local_pf, local_pm, threshold_for_pf
+from coopsense.local_sensing import SensingParams, local_pf, local_pm, threshold_for_pf
 from coopsense.montecarlo import SimScenario, run_grid
 from coopsense.reporting import ReportChannel, channel_from_snr_db
 from coopsense.roc import (
@@ -17,7 +17,8 @@ from coopsense.roc import (
     optimal_n,
 )
 
-SENSING = SensingParams(samples_m=6, avg_snr_gamma=100.0)
+M, GAMMA = 6, 100.0
+SENSING = SensingParams(samples_m=M, avg_snr_gamma=GAMMA)
 CH10 = channel_from_snr_db(10.0)
 CH5 = channel_from_snr_db(5.0)
 
@@ -28,7 +29,7 @@ def rule(k, n):
 
 def pf_spaced_grid(points, lo=1e-9, hi=1.0 - 1e-9, m=6):
     pf_values = np.geomspace(lo, hi, points)
-    return sorted(threshold_for_pf(float(q), m) for q in pf_values)
+    return sorted(threshold_for_pf(m, float(q)) for q in pf_values)
 
 
 def curve(n, channel, lambdas, k=4):
@@ -57,15 +58,15 @@ def qf_at_qm(qms, qfs, qm):
 
 def operating_point(fusion, channel, lam):
     """Fused (qf, qm) of one rule at one threshold, from the scalar closed forms."""
-    return fused_qf(fusion, local_pf(SENSING, lam), channel.pe), fused_qm(fusion, local_pm(SENSING, lam), channel.pe)
+    return fused_qf(fusion, local_pf(M, lam), channel.pe), fused_qm(fusion, local_pm(M, GAMMA, lam), channel.pe)
 
 
 def scan_qf_qm(fusion, channel, lambdas):
     pe = channel.pe
     qf, qm = [], []
     for lam in lambdas:
-        qf.append(float(fused_qf(fusion, local_pf(SENSING, lam), pe)))
-        qm.append(float(fused_qm(fusion, local_pm(SENSING, lam), pe)))
+        qf.append(float(fused_qf(fusion, local_pf(M, lam), pe)))
+        qm.append(float(fused_qm(fusion, local_pm(M, GAMMA, lam), pe)))
     return np.array(qf), np.array(qm)
 
 
@@ -105,8 +106,8 @@ class TestRocCurve:
     def test_single_radio_perfect_channel_reduces_to_local_curve(self):
         grid = pf_spaced_grid(40)
         for lam, qf, qm in zip(*curve(1, ReportChannel(noise_var_sigma2=0.0), grid, k=1)[:3]):
-            assert float(qf) == pytest.approx(float(local_pf(SENSING, lam)), abs=1e-14)
-            assert float(qm) == pytest.approx(float(local_pm(SENSING, lam)), abs=1e-14)
+            assert float(qf) == pytest.approx(float(local_pf(M, lam)), abs=1e-14)
+            assert float(qm) == pytest.approx(float(local_pm(M, GAMMA, lam)), abs=1e-14)
 
     def test_tail_approaches_false_alarm_floor(self):
         grid = pf_spaced_grid(40, lo=1e-12)
@@ -187,7 +188,7 @@ class TestQmStar:
 
 def _lambda_matching_qm(fusion, channel, target):
     from scipy import optimize
-    f = lambda lam: float(fused_qm(fusion, local_pm(SENSING, lam), channel.pe)) - target
+    f = lambda lam: float(fused_qm(fusion, local_pm(M, GAMMA, lam), channel.pe)) - target
     hi = 200.0
     while f(hi) < 0:
         hi *= 2.0
@@ -349,7 +350,7 @@ class TestKernelPath:
             alone = [_lambda_for_qm(4, np.array([n]), 6, 100.0, pe, target)[0] for n, target in zip(ns, targets)]
         assert batch.tolist() == alone
         for n, target, lam in zip(ns, targets, batch):
-            assert float(_fused_qm(4, n, _local_pm(6, 100.0, lam), pe)) == pytest.approx(target, rel=1e-9)
+            assert float(_fused_qm(4, n, local_pm(6, 100.0, lam), pe)) == pytest.approx(target, rel=1e-9)
 
     def test_achieved_point_is_reused_from_the_direct_search(self):
         from coopsense.roc import _achieved

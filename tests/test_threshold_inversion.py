@@ -15,7 +15,7 @@ from scipy import special as _sp
 from coopsense import roc
 from coopsense.cli import main
 from coopsense.fusion import _fused_qf, _fused_qm
-from coopsense.local_sensing import SensingParams, _local_pf, _local_pm, _local_pm_parts
+from coopsense.local_sensing import SensingParams, _local_pm_parts, local_pf, local_pm
 from coopsense.reporting import ReportChannel, channel_from_snr_db
 
 PROPERTY = settings(max_examples=120, deadline=None, derandomize=True, database=None,
@@ -38,7 +38,7 @@ def bisection_oracle(k, n, samples_m, gamma, pe, target, xtol=1e-13, rtol=8.9e-1
     """The plain threshold bisection, the reference for _lambda_for_qm. It stops at hi - lo <= xtol + rtol hi:
     by default an absolute 1e-13, the scan oracle's tolerance."""
     n, target = np.broadcast_arrays(n, np.asarray(target, dtype=float))
-    miss = lambda lam: _fused_qm(k, n, _local_pm(samples_m, gamma, lam), pe)
+    miss = lambda lam: _fused_qm(k, n, local_pm(samples_m, gamma, lam), pe)
     hi = np.full(target.shape, 2.0 * _sp.gammainccinv(samples_m, roc._PF_SWEEP_LO))
     # Extend the brackets geometrically; the fused miss saturates exactly once
     # the local tail probabilities underflow, so this always terminates.
@@ -75,7 +75,7 @@ def crossover_entries_oracle(k, samples_m, gamma, pe):
 
         def gaps(qs):
             lam = bisection_oracle(k, pair, samples_m, gamma, pe, qs)
-            qf = _fused_qf(k, pair, _local_pf(samples_m, lam), pe)
+            qf = _fused_qf(k, pair, local_pf(samples_m, lam), pe)
             return qf[1] - qf[0]
 
         qs = np.geomspace(max(lo, 1e-300), hi, roc._CROSSOVER_SCAN_POINTS)
@@ -264,7 +264,7 @@ def test_deep_targets_settle_within_the_round_cap(k, snr_db, exponent):
     lam = roc._lambda_for_qm(k, ns, 1, gamma, 0.0, target)
     assert np.isfinite(lam).all() and (np.diff(lam) < 0.0).all()
     if target >= 1e-280:
-        np.testing.assert_allclose(_fused_qm(k, ns, _local_pm(1, gamma, lam), 0.0), target, rtol=1e-12)
+        np.testing.assert_allclose(_fused_qm(k, ns, local_pm(1, gamma, lam), 0.0), target, rtol=1e-12)
 
 
 def test_targets_at_or_above_the_loose_limit_need_an_infinite_threshold():
@@ -436,7 +436,7 @@ class TestTieTolerance:
         qs = np.geomspace(floor_b + (sup - floor_b) * 1e-9, sup - (sup - floor_b) * 1e-9,
                           roc._CROSSOVER_SCAN_POINTS)
         pair = np.array([[n], [n + 1]])
-        qf = _fused_qf(k, pair, _local_pf(m, bisection_oracle(k, pair, m, gamma, pe, qs)), pe)
+        qf = _fused_qf(k, pair, local_pf(m, bisection_oracle(k, pair, m, gamma, pe, qs)), pe)
         gaps = qf[1] - qf[0]
         # rule 2 is ahead somewhere, but never by the tolerance
         assert gaps.min() < 0.0 and gaps.min() >= -roc._QF_TIE_TOL
